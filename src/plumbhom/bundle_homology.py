@@ -27,15 +27,9 @@ representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .exact_linalg import (
-    AbelianGroup,
-    IntMatrix,
-    cokernel_group,
-    kernel_rank,
-    mat_sub,
-)
+from .exact_linalg import AbelianGroup, IntMatrix, cokernel_group, mat_sub
 from .plumbing import GradedGroup
 from .twist_engine import GradedAction
 
@@ -58,35 +52,13 @@ class Representation:
             )
 
 
-class WangPieces:
-    """Per-degree cokernel and kernel rank of the block difference map."""
+def wang_pieces(
+    base: GradedGroup, monodromies: Sequence[GradedAction]
+) -> dict[int, tuple[AbelianGroup, int]]:
+    """``{k: (coker D_k, kernel rank of D_k)}`` for every degree where the base lives.
 
-    __slots__ = ("_pieces",)
-
-    def __init__(self, pieces: Mapping[int, tuple[AbelianGroup, int]]):
-        self._pieces = {k: pieces[k] for k in sorted(pieces)}
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self._pieces)
-
-    def coker(self, degree: int) -> AbelianGroup:
-        piece = self._pieces.get(degree)
-        return piece[0] if piece else AbelianGroup(0)
-
-    def ker_rank(self, degree: int) -> int:
-        piece = self._pieces.get(degree)
-        return piece[1] if piece else 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WangPieces) and self._pieces == other._pieces
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: ({c}, ker {r})" for k, (c, r) in self._pieces.items())
-        return f"WangPieces({{{body}}})"
-
-
-def wang_pieces(base: GradedGroup, monodromies: Sequence[GradedAction]) -> WangPieces:
-    """Cokernel and kernel rank of D_k in every degree where the base lives.
+    One Smith reduction per degree: the kernel rank follows from the
+    cokernel's free rank by rank-nullity, cols - rows + free rank.
 
     The base must be free (true for every plumbing). Monodromies must respect
     the base ranks and fix degree 0, where connectivity forces the identity.
@@ -111,8 +83,9 @@ def wang_pieces(base: GradedGroup, monodromies: Sequence[GradedAction]) -> WangP
         ident = IntMatrix.identity(r)
         blocks = [mat_sub(action.matrix(k, r), ident) for action in monodromies]
         diff = _hconcat(blocks)
-        pieces[k] = (cokernel_group(diff), kernel_rank(diff))
-    return WangPieces(pieces)
+        coker = cokernel_group(diff)
+        pieces[k] = (coker, diff.cols - diff.rows + coker.free_rank)
+    return pieces
 
 
 def _hconcat(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -126,11 +99,11 @@ def _hconcat(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
     pieces = wang_pieces(base, monodromies)
-    degrees = set(pieces.degrees()) | {k + 1 for k in pieces.degrees()}
+    empty = (AbelianGroup(0), 0)
     groups = {}
-    for k in sorted(degrees):
-        coker = pieces.coker(k)
-        free = coker.free_rank + pieces.ker_rank(k - 1)
+    for k in sorted(set(pieces) | {k + 1 for k in pieces}):
+        coker = pieces.get(k, empty)[0]
+        free = coker.free_rank + pieces.get(k - 1, empty)[1]
         groups[k] = AbelianGroup(free, coker.invariant_factors)
     return GradedGroup(groups)
 
@@ -162,13 +135,17 @@ def boundary_check(rep: Representation) -> BoundaryCheck:
 
     This is what the boundary word of the surface evaluates to on homology;
     identity is necessary for the representation to send the boundary to the
-    identity, not sufficient beyond homology.
+    identity, not sufficient beyond homology. The last commutator is moved to
+    the right-hand side, ``(prod_{i<g} [A_i, B_i]) A_g B_g == B_g A_g``, so
+    genus 1 needs no inverse.
     """
-    total = GradedAction({})
-    for i in range(rep.genus):
+    left = GradedAction({})
+    for i in range(rep.genus - 1):
         a = rep.assignments[2 * i]
         b = rep.assignments[2 * i + 1]
-        commutator = a.compose(b).compose(a.inverse()).compose(b.inverse())
-        total = total.compose(commutator)
-    failing = tuple(k for k, m in total.items() if not m.is_identity())
+        left = left.compose(a.compose(b).compose(a.inverse()).compose(b.inverse()))
+    a, b = rep.assignments[-2:]
+    left = left.compose(a).compose(b)
+    right = b.compose(a)
+    failing = tuple(k for k, m in left.items() if m != right.matrix(k, m.rows))
     return BoundaryCheck(not failing, failing)

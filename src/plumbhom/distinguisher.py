@@ -22,7 +22,7 @@ from typing import Sequence
 from .bundle_homology import Representation, boundary_check, surface_bundle_homology
 from .exact_linalg import IntMatrix, det
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
-from .twist_engine import GradedAction, TwistWord, preset_action, word_action
+from .twist_engine import GradedAction, TwistWord, word_action
 
 INDEXING_NOTE = (
     "cokernel torsion is reported in its own degree (mapping-cone orientation "
@@ -54,31 +54,23 @@ class FillingReport:
     trivial_torsion_ks: tuple[int, ...]
 
 
-def filling_family(
-    graph: PlumbingGraph, word: TwistWord | str, k_max: int
-) -> FillingReport:
+def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> FillingReport:
     """Build the family E_k, k = 1..k_max, and classify by graded homology.
 
-    ``word`` is a TwistWord over the graph, or the name of a built-in action
-    preset (whose graph must equal the one supplied).
+    ``word`` is a TwistWord over the graph; phi^k is kept as a running product.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
-    if isinstance(word, str):
-        preset_graph, generator = preset_action(word)
-        if preset_graph != graph:
-            raise ValueError(f"action preset {word!r} belongs to a different graph")
-        word_text = word
-    else:
-        generator = word_action(graph, word)
-        word_text = str(word)
+    generator = word_action(graph, word)
     base = base_homology(graph)
     degree = graph.dimension
     identity = GradedAction({})
+    power = identity
     homologies: list[GradedGroup] = []
     raw: list[tuple[int, GradedGroup, tuple[int, ...], int, bool]] = []
     for k in range(1, k_max + 1):
-        rep = Representation(1, (generator.power(k), identity))
+        power = power.compose(generator)
+        rep = Representation(1, (power, identity))
         check = boundary_check(rep)
         homology = surface_bundle_homology(base, rep)
         torsion = homology.group(degree)
@@ -91,7 +83,7 @@ def filling_family(
     )
     return FillingReport(
         graph=graph,
-        word=word_text,
+        word=str(word),
         k_max=k_max,
         torsion_degree=degree,
         indexing_note=INDEXING_NOTE,
@@ -103,17 +95,8 @@ def filling_family(
 
 def classify_distinct(reports: Sequence[GradedGroup]) -> list[int]:
     """Class ids (1-based, numbered by first occurrence) under exact equality."""
-    ids: list[int] = []
-    seen: list[GradedGroup] = []
-    for group in reports:
-        for idx, other in enumerate(seen):
-            if group == other:
-                ids.append(idx + 1)
-                break
-        else:
-            seen.append(group)
-            ids.append(len(seen))
-    return ids
+    seen: dict[GradedGroup, int] = {}
+    return [seen.setdefault(group, len(seen) + 1) for group in reports]
 
 
 def torsion_closed_form(action: IntMatrix, k: int) -> int:

@@ -404,25 +404,6 @@ def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, a.cols, [x - y for x, y in zip(a.entries, b.entries)])
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1 (adjugate route)."""
-    if not m.is_square:
-        raise ValueError("inverse needs a square matrix")
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {d})")
-    n = m.rows
-    rows = m.to_rows()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            # adjugate entry (i, j) = cofactor of (j, i)
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
-            c = det(IntMatrix.from_rows(minor, cols=n - 1))
-            out.append(d * (-c if (i + j) % 2 else c))
-    return IntMatrix(n, n, out)
-
-
 def parse_matrix(text: str) -> IntMatrix:
     """Parse a bracketed matrix literal such as ``[[7,3],[-3,-2]]``.
 

@@ -12,8 +12,8 @@ self-loops not). The graph determines
   and E - V + 1 circles.
 
 For n = 1 the middle homology mixes sphere and arc classes and no intersection
-form is derived from the graph; degree-1 twist actions are supplied externally
-(``h1_actions`` / the built-in preset in ``twist_engine``).
+form is derived from the graph; degree-1 twist actions are supplied on the
+graph as ``h1_actions`` (the ``a2-3pt-n1`` preset in ``presets`` carries one).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def validate(graph: PlumbingGraph) -> list[str]:
             errors.append(f"edge endpoint {b!r} is not a vertex")
         if a == b:
             errors.append(f"self-loop at {a!r}")
-        if sign not in (1, -1):
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
             errors.append(f"edge sign must be 1 or -1, got {sign!r}")
         if a in known and b in known and a != b:
             adjacency[a].add(b)
@@ -263,7 +263,7 @@ def graph_from_json(data: object) -> PlumbingGraph:
         ):
             raise ValueError('edge "between" must be a pair of vertex labels')
         sign = e["sign"]
-        if isinstance(sign, bool) or sign not in (1, -1):
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
             raise ValueError("edge sign must be 1 or -1")
         edges.append((between[0], between[1], sign))
     h1_actions = []
@@ -272,7 +272,7 @@ def graph_from_json(data: object) -> PlumbingGraph:
         if not isinstance(raw, dict):
             raise ValueError("h1_action must map vertex labels to matrices")
         for label, rows in raw.items():
-            if not isinstance(rows, list):
+            if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
                 raise ValueError(f"h1_action for {label!r} must be a matrix (list of rows)")
             h1_actions.append((label, IntMatrix.from_rows(rows)))
     graph = PlumbingGraph(dimension, tuple(vertices), tuple(edges), tuple(h1_actions))

@@ -12,7 +12,8 @@ matrix is the product T1 @ T2 in the vertex-order basis (columns are images of
 basis vectors).
 
 Dimension-1 graphs have no derived intersection data; their degree-1 actions
-come from the built-in preset or from ``h1_actions`` entries on the graph.
+come from ``h1_actions`` entries on the graph (the ``a2-3pt-n1`` preset in
+``presets`` carries one for t1).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .exact_linalg import IntMatrix, inverse_unimodular, mat_mul, mat_pow
+from .exact_linalg import IntMatrix, mat_mul, mat_pow, snf
 from .plumbing import PlumbingGraph, ensure_valid, intersection_form
 
 
@@ -125,7 +126,14 @@ class GradedAction:
         return GradedAction({d: mat_pow(m, e) for d, m in base._maps.items()})
 
     def inverse(self) -> "GradedAction":
-        return GradedAction({d: inverse_unimodular(m) for d, m in self._maps.items()})
+        """Exact inverse: ``U @ m @ V == I`` from the Smith form gives m^-1 = V @ U."""
+        out: dict[int, IntMatrix] = {}
+        for d, m in self._maps.items():
+            u, s, v = snf(m)
+            if not s.is_identity():
+                raise ValueError(f"degree {d} map is not unimodular")
+            out[d] = mat_mul(v, u)
+        return GradedAction(out)
 
     def is_identity(self) -> bool:
         return all(m.is_identity() for m in self._maps.values())
@@ -204,30 +212,3 @@ def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
         acc = acc.compose(cache[label].power(exp))
     return acc
 
-
-_A2_3PT_N1_T1 = IntMatrix.from_rows(
-    [
-        [1, -3, -1, -1],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
-)
-
-
-def preset_action(preset_name: str) -> tuple[PlumbingGraph, GradedAction]:
-    """Built-in (graph, action) pairs for dimensions where nothing is derived.
-
-    ``a2-3pt-n1-t1``: two circles plumbed at three points; the action of the
-    twist along the first circle on H_1 = Z^4, in the basis of the two circle
-    classes and two cycle classes glued from arcs.
-    """
-    if preset_name != "a2-3pt-n1-t1":
-        raise ValueError(f"unknown action preset {preset_name!r} (available: a2-3pt-n1-t1)")
-    graph = PlumbingGraph(
-        1,
-        ("t1", "t2"),
-        (("t1", "t2", 1), ("t1", "t2", 1), ("t1", "t2", 1)),
-        (("t1", _A2_3PT_N1_T1),),
-    )
-    return graph, GradedAction({1: _A2_3PT_N1_T1})

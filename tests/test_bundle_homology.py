@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import inv_2x2_det1, mul_2x2
+from oracles import adjugate_inverse, inv_2x2_det1, mul_2x2
 from plumbhom.bundle_homology import (
     Representation,
     boundary_check,
@@ -14,7 +14,7 @@ from plumbhom.bundle_homology import (
     surface_bundle_homology,
     wang_pieces,
 )
-from plumbhom.exact_linalg import AbelianGroup, IntMatrix, mat_mul
+from plumbhom.exact_linalg import AbelianGroup, IntMatrix, kernel_rank, mat_mul, mat_sub
 from plumbhom.plumbing import GradedGroup, base_homology
 from plumbhom.twist_engine import GradedAction, IDENTITY_ACTION, TwistWord, twist_matrix, word_action
 from test_exact_linalg import _random_unimodular
@@ -31,31 +31,50 @@ class TestWangPieces:
     def test_identity_monodromy(self):
         base = base_homology(A2_3PT_N3)
         pieces = wang_pieces(base, [IDENTITY_ACTION])
+        assert sorted(pieces) == list(base.degrees())
         for k in base.degrees():
-            assert pieces.coker(k) == base.group(k)
-            assert pieces.ker_rank(k) == base.rank(k)
+            assert pieces[k] == (base.group(k), base.rank(k))
 
     def test_single_twist(self):
         base = base_homology(A2_3PT_N3)
         pieces = wang_pieces(base, [twist_matrix(A2_3PT_N3, "L1")])
-        assert pieces.coker(3) == AbelianGroup(1, (3,))
-        assert pieces.ker_rank(3) == 1
+        assert pieces[3] == (AbelianGroup(1, (3,)), 1)
 
     def test_two_monodromies(self):
         base = base_homology(A2_3PT_N3)
         pieces = wang_pieces(base, [twist_matrix(A2_3PT_N3, "L1"), IDENTITY_ACTION])
         # block matrix [phi - I | 0] on Z^4: rank 1
-        assert pieces.coker(3) == AbelianGroup(1, (3,))
-        assert pieces.ker_rank(3) == 3
+        assert pieces[3] == (AbelianGroup(1, (3,)), 3)
 
     def test_block_order_irrelevant(self):
         base = base_homology(A2_3PT_N3)
         phi = twist_matrix(A2_3PT_N3, "L1")
         forward = wang_pieces(base, [phi, IDENTITY_ACTION])
         backward = wang_pieces(base, [IDENTITY_ACTION, phi])
-        for k in range(5):
-            assert forward.coker(k) == backward.coker(k)
-            assert forward.ker_rank(k) == backward.ker_rank(k)
+        assert forward == backward
+
+    def test_kernel_rank_matches_second_reduction(self):
+        # wang_pieces reads the kernel rank off the cokernel; kernel_rank
+        # reduces the block matrix D_k again
+        rng = random.Random(307)
+        for _ in range(40):
+            graph = random_graph(rng)
+            base = base_homology(graph)
+            monodromies = [
+                word_action(graph, TwistWord(tuple(
+                    (rng.choice(graph.vertices), rng.choice((-1, 1, 2)))
+                    for _ in range(rng.randint(0, 3))
+                )))
+                for _ in range(rng.randint(1, 3))
+            ]
+            pieces = wang_pieces(base, monodromies)
+            for k, (_, ker) in pieces.items():
+                r = base.rank(k)
+                blocks = [
+                    mat_sub(m.matrix(k, r), IntMatrix.identity(r)).to_rows() for m in monodromies
+                ]
+                diff = IntMatrix.from_rows([sum(rows, []) for rows in zip(*blocks)])
+                assert ker == kernel_rank(diff)
 
     def test_base_must_be_free(self):
         base = GradedGroup({1: AbelianGroup(1, (2,))})
@@ -163,7 +182,7 @@ class TestSurfaceBundle:
             for k in range(graph.dimension + 2):
                 assert (
                     bundle.group(k).invariant_factors
-                    == pieces.coker(k).invariant_factors
+                    == pieces.get(k, (AbelianGroup(0), 0))[0].invariant_factors
                 )
 
     def test_euler_characteristic_scales_with_genus(self):
@@ -236,6 +255,45 @@ class TestBoundaryCheck:
         comm_ab = mul_2x2(mul_2x2(a, b), mul_2x2(inv_2x2_det1(a), inv_2x2_det1(b)))
         comm_ba = mul_2x2(mul_2x2(b, a), mul_2x2(inv_2x2_det1(b), inv_2x2_det1(a)))
         assert mul_2x2(comm_ab, comm_ba) == [[1, 0], [0, 1]]
+
+
+    def test_matches_explicit_commutator_product(self):
+        # prod [A_i, B_i] in the middle degree, inverses from the adjugate oracle
+        rng = random.Random(347)
+        outcomes = set()
+        for _ in range(120):
+            graph = random_graph(rng)
+            n, size = graph.dimension, len(graph.vertices)
+            genus = rng.randint(1, 3)
+
+            def random_action():
+                return word_action(graph, TwistWord(tuple(
+                    (rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2)))
+                    for _ in range(rng.randint(0, 3))
+                )))
+
+            assignments: list[GradedAction] = []
+            for i in range(genus):
+                mode = rng.choice(("random", "commuting", "reversed"))
+                a = random_action()
+                if mode == "commuting":
+                    assignments.extend([a, a.power(rng.randint(-2, 2))])
+                elif mode == "reversed" and i:
+                    # [B, A] after [A, B] cancels it
+                    assignments.extend([assignments[-1], assignments[-2]])
+                else:
+                    assignments.extend([a, random_action()])
+            total = IntMatrix.identity(size)
+            for a, b in zip(assignments[::2], assignments[1::2]):
+                a, b = a.matrix(n), b.matrix(n)
+                a_inv = IntMatrix.from_rows(adjugate_inverse(a.to_rows()), cols=size)
+                b_inv = IntMatrix.from_rows(adjugate_inverse(b.to_rows()), cols=size)
+                total = mat_mul(total, mat_mul(mat_mul(a, b), mat_mul(a_inv, b_inv)))
+            expected = () if total.is_identity() else (n,)
+            result = boundary_check(Representation(genus, tuple(assignments)))
+            assert (result.ok, result.failing_degrees) == (not expected, expected)
+            outcomes.add((genus, result.ok))
+        assert outcomes == {(g, ok) for g in (1, 2, 3) for ok in (True, False)}
 
 
 class TestRepresentation:

@@ -117,6 +117,21 @@ class TestValidate:
         assert code2 == 0
         assert out2 == out
 
+    @pytest.mark.parametrize("bad", [
+        {"h1_action": {"L1": [1, 2]}, "dimension": 1},
+        {"edges": [{"between": ["L1", "L2"], "sign": 1.0}]},
+    ])
+    def test_malformed_values_are_input_errors(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(A2_N3_DOC, **bad)))
+        code, out, _ = invoke(capsys, "validate", "--graph", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out)["ok"] is False
+        code, out, _ = invoke(capsys, "validate", "--graph", str(path), "--emit")
+        assert (code, out.startswith("error: ")) == (1, True)
+        code, _, err = invoke(capsys, "twist", "--graph", str(path), "--word", "L1")
+        assert (code, err.startswith("error: ")) == (1, True)
+
     def test_missing_file(self, capsys):
         code, out, _ = invoke(capsys, "validate", "--graph", "/nonexistent/g.json")
         assert code == 1

@@ -8,7 +8,8 @@ from oracles import cofactor_det, pow_square
 from plumbhom.distinguisher import classify_distinct, filling_family, torsion_closed_form
 from plumbhom.exact_linalg import AbelianGroup, IntMatrix
 from plumbhom.plumbing import GradedGroup, PlumbingGraph
-from plumbhom.twist_engine import TwistWord, parse_word, preset_action
+from plumbhom.presets import graph_preset
+from plumbhom.twist_engine import TwistWord, parse_word
 from test_plumbing import A2_3PT_N2, A2_3PT_N3
 
 A2_1PT_N3 = PlumbingGraph(3, ("L1", "L2"), (("L1", "L2", 1),))
@@ -78,8 +79,7 @@ class TestFillingFamily:
         assert report.trivial_torsion_ks == ()
 
     def test_dimension_one_preset_family(self):
-        graph, _ = preset_action("a2-3pt-n1-t1")
-        report = filling_family(graph, parse_word("t1"), 20)
+        report = filling_family(graph_preset("a2-3pt-n1"), parse_word("t1"), 20)
         assert report.torsion_degree == 1
         for entry in report.entries:
             expected = (entry.k,) if entry.k >= 2 else ()
@@ -94,16 +94,6 @@ class TestFillingFamily:
             assert group.free_rank == 1
             assert group.invariant_factors == ((entry.k,) if entry.k >= 2 else ())
         assert report.distinct_classes == 20
-
-    def test_action_preset_name_accepted(self):
-        graph, _ = preset_action("a2-3pt-n1-t1")
-        report = filling_family(graph, "a2-3pt-n1-t1", 5)
-        assert report.word == "a2-3pt-n1-t1"
-        assert [e.torsion_factors for e in report.entries] == [(), (2,), (3,), (4,), (5,)]
-
-    def test_action_preset_requires_matching_graph(self):
-        with pytest.raises(ValueError, match="different graph"):
-            filling_family(A2_3PT_N3, "a2-3pt-n1-t1", 3)
 
     def test_empty_word_collapses_to_one_class(self):
         report = filling_family(A2_3PT_N3, TwistWord(()), 6)

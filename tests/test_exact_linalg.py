@@ -19,7 +19,6 @@ from plumbhom.exact_linalg import (
     cokernel_group,
     det,
     format_matrix,
-    inverse_unimodular,
     kernel_rank,
     mat_mul,
     mat_pow,
@@ -29,6 +28,7 @@ from plumbhom.exact_linalg import (
     snf,
     smith_diagonal,
 )
+from plumbhom.twist_engine import GradedAction
 
 
 def _random_matrix(rng: random.Random, max_dim: int = 5, span: int = 9) -> IntMatrix:
@@ -222,23 +222,32 @@ class TestProducts:
 
 
 class TestInverse:
+    """``GradedAction.inverse``, which inverts through the Smith transforms."""
+
+    @staticmethod
+    def _inverse(m: IntMatrix) -> IntMatrix:
+        return GradedAction({1: m}).inverse().matrix(1)
+
     def test_inverse_of_unimodular(self):
         rng = random.Random(19)
         for _ in range(50):
             n = rng.randint(0, 4)
             m = _random_unimodular(rng, n)
-            inv = inverse_unimodular(m)
+            inv = self._inverse(m)
             assert mat_mul(m, inv) == IntMatrix.identity(n)
             assert mat_mul(inv, m) == IntMatrix.identity(n)
 
     def test_negative_determinant(self):
         m = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert inverse_unimodular(m) == m
+        assert self._inverse(m) == m
+        m = IntMatrix.from_rows([[2, 1], [1, 0]])
+        assert cofactor_det(m.to_rows()) == -1
+        assert mat_mul(m, self._inverse(m)) == IntMatrix.identity(2)
 
     def test_non_unimodular_rejected(self):
-        with pytest.raises(ValueError):
-            inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
-
+        for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[3]]):
+            with pytest.raises(ValueError, match="unimodular"):
+                self._inverse(IntMatrix.from_rows(rows))
 
 class TestAbelianGroup:
     def test_divisor_chain_enforced(self):

@@ -1,0 +1,42 @@
+"""CLI outputs frozen byte for byte in ``tests/golden``.
+
+The files were captured at the commit before the dimension-1 action preset,
+the adjugate inverse and the repeated per-member reductions were removed, so
+they pin that those removals changed no output. Regenerate one with
+``PYTHONPATH=src python -m plumbhom <argv> > tests/golden/<name>`` only when
+an output is meant to change.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from plumbhom.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    # the dimension-1 family through the graph preset's h1_action entry
+    "fillings-n1-t1": ["fillings", "--preset", "a2-3pt-n1", "--word", "t1", "--kmax", "12"],
+    "fillings-n3-t1inv": ["fillings", "--preset", "a2-3pt-n3", "--word", "t1^-1", "--kmax", "12"],
+    # negative exponents go through GradedAction.inverse
+    "fillings-n2-t1inv3t2":
+        ["fillings", "--preset", "a2-3pt-n2", "--word", "t1^-3 t2", "--kmax", "12"],
+    "twist-n1-t1inv3": ["twist", "--preset", "a2-3pt-n1", "--word", "t1^-3"],
+    "torus-n1-t1inv": ["torus", "--preset", "a2-3pt-n1", "--word", "t1^-1"],
+}
+CASES = {
+    f"{name}.{fmt}": [*argv, "--format", fmt]
+    for name, argv in COMMANDS.items()
+    for fmt in ("table", "csv", "json")
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(capsys, name):
+    code = run(CASES[name])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -65,8 +65,9 @@ class TestValidate:
         assert any("not a vertex" in e for e in validate(graph))
 
     def test_bad_sign(self):
-        graph = PlumbingGraph(3, ("a", "b"), (("a", "b", 2),))
-        assert any("sign" in e for e in validate(graph))
+        for sign in (2, 1.0, True):
+            graph = PlumbingGraph(3, ("a", "b"), (("a", "b", sign),))
+            assert any("sign" in e for e in validate(graph))
 
     def test_h1_actions_only_for_dimension_one(self):
         matrix = IntMatrix.identity(4)
@@ -198,8 +199,14 @@ class TestGraphFormat:
             graph_from_json(doc)
 
     def test_sign_restricted(self):
-        doc = dict(GRAPH_DOC, edges=[{"between": ["L1", "L2"], "sign": 2}])
-        with pytest.raises(ValueError, match="sign"):
+        for sign in (2, 1.0, -1.0, True):
+            doc = dict(GRAPH_DOC, edges=[{"between": ["L1", "L2"], "sign": sign}])
+            with pytest.raises(ValueError, match="sign"):
+                graph_from_json(doc)
+
+    def test_h1_action_rows_must_be_lists(self):
+        doc = dict(GRAPH_DOC, dimension=1, h1_action={"L1": [1, 2]})
+        with pytest.raises(ValueError, match="list of rows"):
             graph_from_json(doc)
 
     def test_h1_action_roundtrip(self):

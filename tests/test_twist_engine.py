@@ -9,12 +9,12 @@ import pytest
 from oracles import cofactor_det
 from plumbhom.exact_linalg import IntMatrix, mat_mul, mat_sub
 from plumbhom.plumbing import PlumbingGraph, intersection_form
+from plumbhom.presets import graph_preset
 from plumbhom.twist_engine import (
     GradedAction,
     IDENTITY_ACTION,
     TwistWord,
     parse_word,
-    preset_action,
     twist_matrix,
     word_action,
 )
@@ -135,11 +135,15 @@ class TestWordAction:
 
 
 class TestPresetAction:
+    """The ``a2-3pt-n1`` graph preset carries the H_1 action of t1."""
+
+    graph = graph_preset("a2-3pt-n1")
+    action = word_action(graph, parse_word("t1"))
+
     def test_matrix_as_displayed(self):
-        graph, action = preset_action("a2-3pt-n1-t1")
-        assert graph.dimension == 1
-        assert graph.edge_count == 3
-        assert action.matrix(1).to_rows() == [
+        assert self.graph.dimension == 1
+        assert self.graph.edge_count == 3
+        assert self.action.matrix(1).to_rows() == [
             [1, -3, -1, -1],
             [0, 1, 0, 0],
             [0, 0, 1, 0],
@@ -147,24 +151,17 @@ class TestPresetAction:
         ]
 
     def test_powers_scale_first_row(self):
-        _, action = preset_action("a2-3pt-n1-t1")
         for k in range(1, 12):
-            power = action.power(k)
+            power = self.action.power(k)
             assert power.matrix(1).row(0) == (1, -3 * k, -k, -k)
 
     def test_unimodular(self):
-        _, action = preset_action("a2-3pt-n1-t1")
-        assert cofactor_det(action.matrix(1).to_rows()) == 1
+        assert cofactor_det(self.action.matrix(1).to_rows()) == 1
 
     def test_word_action_resolves_h1_entries(self):
-        graph, action = preset_action("a2-3pt-n1-t1")
-        assert word_action(graph, parse_word("t1^2")) == action.power(2)
+        assert word_action(self.graph, parse_word("t1^2")) == self.action.power(2)
         with pytest.raises(ValueError, match="h1_action"):
-            word_action(graph, parse_word("t2"))
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown action preset"):
-            preset_action("a2-9pt-n1")
+            word_action(self.graph, parse_word("t2"))
 
 
 class TestWordGrammar:
