@@ -3,15 +3,23 @@
 Everything downstream (intersection forms, twist actions, torsion of bundle
 homology) reduces to exact computations over the integers, so this module is
 deliberately plain: dense matrices of Python ints, no floats, no modular
-shortcuts. Torsion orders in the applications grow exponentially, which rules
-out fixed-width arithmetic from the start.
+reduction of entries. Torsion orders in the applications grow exponentially,
+which rules out fixed-width arithmetic from the start.
 
-The central routine is ``snf``, which drives a matrix to Smith normal form by
-unimodular row and column operations and returns the transforms as witnesses
-(``U @ M @ V == S``). Pivots are always the nonzero entry of smallest absolute
-value in the working submatrix, ties broken by lowest (row, column); this
-bounds intermediate growth and makes the output deterministic. Diagonal
-entries are normalized to be nonnegative, with signs pushed into ``U``.
+Two routines reach the Smith form. ``snf`` drives a matrix to Smith normal
+form by unimodular row and column operations and returns the transforms as
+witnesses (``U @ M @ V == S``); only callers that use the transforms need it:
+the CLI ``snf`` command and ``GradedAction.inverse``. Pivots are always the
+nonzero entry of smallest absolute value in the working submatrix, ties
+broken by lowest (row, column); this bounds intermediate growth and makes the
+output deterministic. Diagonal entries are normalized to be nonnegative, with
+signs pushed into ``U``.
+
+``smith_invariants`` returns only the nonzero Smith diagonal and builds no
+transforms. It serves ``cokernel_group``, ``rank`` and ``kernel_rank``: it
+drops zero rows and columns, eliminates with ``math.gcd`` Bezout steps until
+at most two rows or two columns are left, and finishes that block from its
+determinantal divisors (gcd of the entries, gcd of the 2x2 minors).
 
 Determinants use fraction-free (Bareiss) elimination, exact at every step with
 polynomially bounded intermediates.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, NamedTuple
 
 
@@ -320,9 +329,104 @@ def smith_diagonal(s: IntMatrix) -> list[int]:
     return [s.entry(i, i) for i in range(min(s.rows, s.cols))]
 
 
+def smith_invariants(m: IntMatrix) -> list[int]:
+    """Nonzero Smith diagonal of m in divisor-chain order, without transforms.
+
+    The length is the rank of m. Each pivot step takes the nonzero entry of
+    smallest absolute value, clears its row and column, and makes it divide
+    the rest of the block, so the pivots form a divisor chain and the
+    determinantal finish continues it. The invariants do not change under
+    transposition, so the block is transposed freely.
+    """
+    block = m.to_rows()
+    out: list[int] = []
+    while True:
+        block = [list(c) for c in zip(*(r for r in block if any(r))) if any(c)]
+        if len(block) <= 2 or len(block[0]) <= 2:
+            break
+        out.append(_eliminate_pivot(block))
+        block = [r[1:] for r in block[1:]]
+    out.extend(_determinantal_invariants(block))
+    _check_invariants(out, m)
+    return out
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    # (x, y, g) with x*a + y*b == g == gcd(a, b) > 0, for a, b nonzero.
+    g = gcd(a, b)
+    x = pow(a // g, -1, abs(b // g))
+    return x, (g - x * a) // b, g
+
+
+def _eliminate_pivot(block: list[list[int]]) -> int:
+    """Clear the first row and column around the smallest entry, return |pivot|.
+
+    Works in place and may leave the block transposed. On return the pivot
+    divides every other entry of the block.
+    """
+    pi, pj = min(
+        ((i, j) for i, r in enumerate(block) for j, e in enumerate(r) if e),
+        key=lambda ij: abs(block[ij[0]][ij[1]]),
+    )
+    block[0], block[pi] = block[pi], block[0]
+    for r in block:
+        r[0], r[pj] = r[pj], r[0]
+    while True:
+        # row steps clear column 0; the transpose then turns row 0 into column 0
+        for i in range(1, len(block)):
+            a, b = block[0][0], block[i][0]
+            if b == 0:
+                continue
+            top, row = block[0], block[i]
+            if b % a == 0:
+                q = b // a
+                block[i] = [y - q * x for x, y in zip(top, row)]
+            else:
+                x, y, g = _bezout(a, b)
+                ag, bg = a // g, b // g
+                block[0] = [x * p + y * q for p, q in zip(top, row)]
+                block[i] = [ag * q - bg * p for p, q in zip(top, row)]
+        block[:] = [list(c) for c in zip(*block)]
+        if any(r[0] for r in block[1:]):
+            continue
+        p = block[0][0]
+        stray = next((r for r in block[1:] if any(e % p for e in r)), None)
+        if stray is None:
+            return abs(p)
+        block[0] = [x + y for x, y in zip(block[0], stray)]
+
+
+def _determinantal_invariants(block: list[list[int]]) -> list[int]:
+    """Nonzero Smith diagonal of a block with at most two rows or two columns.
+
+    d1 is the gcd of the entries and d1*d2 the gcd of the 2x2 minors.
+    """
+    if len(block) > 2:
+        block = [list(c) for c in zip(*block)]
+    d1 = gcd(*(e for r in block for e in r))
+    if d1 == 0:
+        return []
+    if len(block) < 2:
+        return [d1]
+    top, bottom = block
+    n = len(top)
+    d12 = gcd(*(top[i] * bottom[j] - top[j] * bottom[i]
+                for i in range(n) for j in range(i + 1, n)))
+    return [d1, d12 // d1] if d12 else [d1]
+
+
+def _check_invariants(diag: list[int], m: IntMatrix) -> None:
+    if len(diag) > min(m.rows, m.cols):
+        raise RuntimeError("more Smith invariants than the matrix has rows or columns")
+    if any(d <= 0 for d in diag):
+        raise RuntimeError("Smith invariant is not positive")
+    if any(b % a for a, b in zip(diag, diag[1:])):
+        raise RuntimeError("Smith invariants are not a divisor chain")
+
+
 def rank(m: IntMatrix) -> int:
-    """Rank over the rationals (equivalently over Z), via the Smith form."""
-    return sum(1 for d in smith_diagonal(snf(m).S) if d != 0)
+    """Rank over the rationals (equivalently over Z), via the Smith invariants."""
+    return len(smith_invariants(m))
 
 
 def kernel_rank(m: IntMatrix) -> int:
@@ -331,14 +435,14 @@ def kernel_rank(m: IntMatrix) -> int:
 
 
 def cokernel_group(m: IntMatrix) -> AbelianGroup:
-    """Z^rows / image(m) in canonical form.
+    """Z^rows / image(m) in canonical form, from ``smith_invariants`` alone.
 
     The free rank is rows - rank(m); the invariant factors are the Smith
-    diagonal entries that exceed 1, already in divisor-chain order.
+    invariants that exceed 1, already in divisor-chain order. No transforms
+    are built.
     """
-    diag = smith_diagonal(snf(m).S)
-    nonzero = sum(1 for d in diag if d != 0)
-    return AbelianGroup(m.rows - nonzero, tuple(d for d in diag if d > 1))
+    diag = smith_invariants(m)
+    return AbelianGroup(m.rows - len(diag), tuple(d for d in diag if d > 1))
 
 
 def det(m: IntMatrix) -> int:
@@ -387,14 +491,20 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
         raise ValueError("matrix power needs a square matrix")
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    result = IntMatrix.identity(a.rows)
+    if k == 0:
+        return IntMatrix.identity(a.rows)
+    # Start from the lowest set bit of k, so no product with I is formed.
     base = a
+    while not k & 1:
+        base = mat_mul(base, base)
+        k >>= 1
+    result = base
+    k >>= 1
     while k:
+        base = mat_mul(base, base)
         if k & 1:
             result = mat_mul(result, base)
         k >>= 1
-        if k:
-            base = mat_mul(base, base)
     return result
 
 

@@ -204,11 +204,12 @@ def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     n = graph.dimension
     degree = n if n >= 2 else 1
     size = len(graph.vertices) if n >= 2 else graph.edge_count + 1
-    acc = GradedAction({degree: IntMatrix.identity(size)})
+    acc = None
     cache: dict[str, GradedAction] = {}
     for label, exp in word.letters:
         if label not in cache:
             cache[label] = twist_matrix(graph, label)
-        acc = acc.compose(cache[label].power(exp))
-    return acc
+        step = cache[label].power(exp)
+        acc = step if acc is None else acc.compose(step)
+    return acc if acc is not None else GradedAction({degree: IntMatrix.identity(size)})
 

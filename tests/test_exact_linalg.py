@@ -12,6 +12,8 @@ import random
 
 import pytest
 
+import plumbhom.exact_linalg as exact_linalg
+import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det, smith_diagonal_by_minors
 from plumbhom.exact_linalg import (
     AbelianGroup,
@@ -25,10 +27,13 @@ from plumbhom.exact_linalg import (
     mat_sub,
     parse_matrix,
     rank,
-    snf,
     smith_diagonal,
+    smith_invariants,
+    snf,
 )
-from plumbhom.twist_engine import GradedAction
+from plumbhom.distinguisher import filling_family
+from plumbhom.presets import graph_preset
+from plumbhom.twist_engine import GradedAction, parse_word
 
 
 def _random_matrix(rng: random.Random, max_dim: int = 5, span: int = 9) -> IntMatrix:
@@ -135,6 +140,70 @@ class TestSnf:
         assert any(abs(e) > 2**63 for e in m.entries)
         diag = smith_diagonal(snf(m).S)
         assert diag[0] * diag[1] == abs(det(m))
+
+
+def _invariant_cases(rng: random.Random):
+    """Seeded matrices over the shapes the determinantal finish and the pivot
+    steps meet: empty, one or two rows or columns, rank-deficient, and entries
+    past 1,000 bits."""
+    shapes = [(0, rng.randint(0, 4)), (rng.randint(0, 4), 0), (1, rng.randint(1, 6)),
+              (2, rng.randint(1, 6)), (rng.randint(1, 6), 2),
+              (rng.randint(3, 5), rng.randint(3, 5))]
+    for rows, cols in shapes:
+        span = rng.choice((1, 9, 2**1100))
+        entries = [rng.randint(-span, span) if rng.random() < 0.8 else 0
+                   for _ in range(rows * cols)]
+        m = IntMatrix(rows, cols, entries)
+        yield m
+        if rows >= 2:
+            # last row a combination of two others: rank below the row count
+            grid = m.to_rows()
+            grid[-1] = [3 * a - b for a, b in zip(grid[0], grid[-2])]
+            yield IntMatrix.from_rows(grid, cols=cols)
+
+
+class TestSmithInvariants:
+    def test_matches_snf_diagonal(self):
+        rng = random.Random(20261018)
+        seen_big = seen_deficient = 0
+        for _ in range(60):
+            for m in _invariant_cases(rng):
+                expected = [d for d in smith_diagonal(snf(m).S) if d]
+                assert smith_invariants(m) == expected
+                seen_big += any(e.bit_length() > 1000 for e in m.entries)
+                seen_deficient += len(expected) < min(m.rows, m.cols)
+        assert seen_big > 50 and seen_deficient > 50
+
+    def test_matches_sympy_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(20261019)
+        for _ in range(25):
+            for m in _invariant_cases(rng):
+                if not m.rows or not m.cols:
+                    continue
+                factors = invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+                assert smith_invariants(m) == [abs(int(d)) for d in factors if d]
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0], "not positive"),
+        ([3, 5], "divisor chain"),
+        ([1, 1, 1], "more Smith invariants"),
+    ])
+    def test_guard_rejects_a_broken_finish(self, monkeypatch, bad, message):
+        monkeypatch.setattr(exact_linalg, "_determinantal_invariants", lambda block: list(bad))
+        with pytest.raises(RuntimeError, match=message):
+            cokernel_group(IntMatrix.from_rows([[7, 3], [-3, -2]]))
+
+    def test_fillings_path_builds_no_transforms(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("snf called on the fillings path")
+
+        monkeypatch.setattr(exact_linalg, "snf", refuse)
+        monkeypatch.setattr(twist_engine, "snf", refuse)
+        report = filling_family(graph_preset("a2-3pt-n2"), parse_word("t1 t2"), 12)
+        assert [e.torsion_cardinality for e in report.entries][:3] == [5, 45, 320]
 
 
 class TestCokernelAndKernel:

@@ -2,9 +2,10 @@
 
 The files were captured at the commit before the dimension-1 action preset,
 the adjugate inverse and the repeated per-member reductions were removed, so
-they pin that those removals changed no output. Regenerate one with
-``PYTHONPATH=src python -m plumbhom <argv> > tests/golden/<name>`` only when
-an output is meant to change.
+they pin that those removals changed no output; ``fillings-n2-t1t2-k40.csv``
+was captured before the cokernels moved from ``snf`` to ``smith_invariants``.
+Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
+tests/golden/<name>`` only when an output is meant to change.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ CASES = {
     for name, argv in COMMANDS.items()
     for fmt in ("table", "csv", "json")
 }
+# torsion orders past 64 bits (112 bits at k = 40); the kmax-12 files stay small
+CASES["fillings-n2-t1t2-k40.csv"] = [
+    "fillings", "--preset", "a2-3pt-n2", "--word", "t1 t2", "--kmax", "40", "--format", "csv",
+]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import plumbhom.exact_linalg as exact_linalg
+import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det
 from plumbhom.exact_linalg import IntMatrix, mat_mul, mat_sub
 from plumbhom.plumbing import PlumbingGraph, intersection_form
@@ -80,6 +82,7 @@ class TestWordAction:
         action = word_action(A2_3PT_N3, TwistWord(()))
         assert action == IDENTITY_ACTION
         assert action.matrix(3).is_identity()
+        assert action.degrees() == (3,)
 
     def test_negative_exponents_invert(self):
         action = word_action(A2_3PT_N2, parse_word("L1 L1^-1 L2^2 L2^-2"))
@@ -115,6 +118,26 @@ class TestWordAction:
             action = word_action(graph, TwistWord(letters))
             for _, m in action.items():
                 assert abs(cofactor_det(m.to_rows())) == 1
+
+    def test_no_products_with_the_identity(self, monkeypatch):
+        # A_20 Coxeter word: one product per letter boundary, none with I
+        labels = tuple(f"v{i}" for i in range(20))
+        graph = PlumbingGraph(3, labels, tuple((a, b, 1) for a, b in zip(labels, labels[1:])))
+        calls = []
+
+        def counting(a, b):
+            calls.append((a.shape, b.shape))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(exact_linalg, "mat_mul", counting)
+        monkeypatch.setattr(twist_engine, "mat_mul", counting)
+        action = word_action(graph, parse_word(" ".join(labels)))
+        assert len(calls) == 19
+        monkeypatch.undo()
+        expected = IntMatrix.identity(20)
+        for label in labels:
+            expected = mat_mul(expected, twist_matrix(graph, label).matrix(3))
+        assert action.matrix(3) == expected
 
     def test_rank_one_perturbation_is_nilpotent_for_odd_n(self):
         # T = I + N with N^2 = 0, so T^k = I + kN
