@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact_linalg import AbelianGroup, IntMatrix, cokernel_group, mat_sub
+from .exact_linalg import AbelianGroup, IntMatrix, cokernel_group
 from .plumbing import GradedGroup
 from .twist_engine import GradedAction
 
@@ -57,8 +57,13 @@ def wang_pieces(
 ) -> dict[int, tuple[AbelianGroup, int]]:
     """``{k: (coker D_k, kernel rank of D_k)}`` for every degree where the base lives.
 
-    One Smith reduction per degree: the kernel rank follows from the
-    cokernel's free rank by rank-nullity, cols - rows + free rank.
+    At most one Smith reduction per degree: the kernel rank follows from the
+    cokernel's free rank by rank-nullity, cols - rows + free rank. A
+    monodromy with no matrix stored in degree k acts as the identity, so its
+    block of D_k is zero: it adds r_k columns to the kernel and nothing to
+    the cokernel, and D_k is built from the stored blocks alone (their
+    diagonals lowered by 1). Where no monodromy stores a matrix, D_k = 0
+    gives (Z^r_k, m r_k) with no reduction at all.
 
     The base must be free (true for every plumbing). Monodromies must respect
     the base ranks and fix degree 0, where connectivity forces the identity.
@@ -67,34 +72,40 @@ def wang_pieces(
         raise ValueError("at least one monodromy is required")
     if not base.is_free():
         raise ValueError("base homology must be free in every degree")
+    stored: dict[int, list[IntMatrix]] = {}
     for action in monodromies:
-        for k, m in action.items():
+        maps = action.items()
+        for k, m in maps:
             if m.rows != base.rank(k):
                 raise ValueError(
                     f"rank mismatch in degree {k}: base has rank {base.rank(k)}, "
                     f"action stores a {m.rows}x{m.cols} matrix"
                 )
-        zero = action.matrix(0, base.rank(0))
-        if not zero.is_identity():
+            stored.setdefault(k, []).append(m)
+        zero = dict(maps).get(0)
+        if zero is not None and not zero.is_identity():
             raise ValueError("monodromies must act as the identity on degree 0")
     pieces: dict[int, tuple[AbelianGroup, int]] = {}
     for k in base.degrees():
         r = base.rank(k)
-        ident = IntMatrix.identity(r)
-        blocks = [mat_sub(action.matrix(k, r), ident) for action in monodromies]
-        diff = _hconcat(blocks)
-        coker = cokernel_group(diff)
-        pieces[k] = (coker, diff.cols - diff.rows + coker.free_rank)
+        cols = r * len(monodromies)
+        if k not in stored:
+            pieces[k] = (AbelianGroup(r), cols)
+            continue
+        coker = cokernel_group(_difference_blocks(stored[k], r))
+        pieces[k] = (coker, cols - r + coker.free_rank)
     return pieces
 
 
-def _hconcat(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = blocks[0].rows
-    out = []
-    for i in range(rows):
-        for b in blocks:
-            out.extend(b.row(i))
-    return IntMatrix(rows, sum(b.cols for b in blocks), out)
+def _difference_blocks(maps: Sequence[IntMatrix], r: int) -> IntMatrix:
+    """[m_1 - I | m_2 - I | ...] for r x r matrices, built row by row."""
+    out: list[int] = []
+    for i in range(r):
+        for m in maps:
+            row = list(m.row(i))
+            row[i] -= 1
+            out.extend(row)
+    return IntMatrix._unchecked(r, r * len(maps), tuple(out))
 
 
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:

@@ -23,6 +23,13 @@ determinantal divisors (gcd of the entries, gcd of the 2x2 minors).
 
 Determinants use fraction-free (Bareiss) elimination, exact at every step with
 polynomially bounded intermediates.
+
+Entries are checked where they enter the program: the public ``IntMatrix``
+constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
+``from_rows``) reject anything but plain ints. Results computed from matrices
+that were already checked (``mat_mul``, ``mat_sub``, ``transpose``,
+``identity``, ``zero``, the Wang blocks D_k) hold ints by construction and are
+built through ``IntMatrix._unchecked``, which skips the per-entry check.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
+from operator import mul, sub
 from typing import Iterable, NamedTuple
 
 
@@ -55,6 +63,15 @@ class IntMatrix:
         self.entries = entries
 
     @classmethod
+    def _unchecked(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        """Wrap a tuple of ``rows * cols`` ints computed from checked matrices."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
         """Build from nested rows; ``cols`` disambiguates zero-row matrices."""
         rows = [list(r) for r in data]
@@ -70,11 +87,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        entries = tuple([1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._unchecked(n, n, entries)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._unchecked(rows, cols, (0,) * (rows * cols))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -95,10 +113,12 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def _columns(self) -> list[tuple[int, ...]]:
+        return [self.entries[j::self.cols] for j in range(self.cols)]
+
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
+        return IntMatrix._unchecked(
+            self.cols, self.rows, tuple([e for col in self._columns() for e in col])
         )
 
     def is_identity(self) -> bool:
@@ -478,12 +498,11 @@ def det(m: IntMatrix) -> int:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            out.append(sum(arow[t] * b.entries[t * b.cols + j] for t in range(a.cols)))
-    return IntMatrix(a.rows, b.cols, out)
+    # b's columns are sliced once; a 2x0 times 0x3 gives empty columns, so zeros
+    cols = b._columns()
+    return IntMatrix._unchecked(a.rows, b.cols, tuple([
+        sum(map(mul, row, col)) for row in map(a.row, range(a.rows)) for col in cols
+    ]))
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -511,7 +530,7 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return IntMatrix(a.rows, a.cols, [x - y for x, y in zip(a.entries, b.entries)])
+    return IntMatrix._unchecked(a.rows, a.cols, tuple(map(sub, a.entries, b.entries)))
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -56,6 +56,9 @@ class PlumbingGraph:
         return None
 
 
+_TRIVIAL = AbelianGroup(0)
+
+
 class GradedGroup:
     """Degree-indexed abelian groups; degrees not stored are trivial."""
 
@@ -72,7 +75,7 @@ class GradedGroup:
         self._groups = cleaned
 
     def group(self, degree: int) -> AbelianGroup:
-        return self._groups.get(degree, AbelianGroup(0))
+        return self._groups.get(degree, _TRIVIAL)
 
     def rank(self, degree: int) -> int:
         return self.group(degree).free_rank
@@ -180,6 +183,11 @@ def intersection_form(graph: PlumbingGraph) -> IntMatrix:
             "use a preset or supply h1_action matrices in the graph file"
         )
     ensure_valid(graph)
+    return _intersection_form(graph)
+
+
+def _intersection_form(graph: PlumbingGraph) -> IntMatrix:
+    # the form of a graph already validated, dimension >= 2
     n = graph.dimension
     half_sign = (-1) ** (n * (n + 1) // 2)
     parity = (-1) ** n

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .exact_linalg import IntMatrix, mat_mul, mat_pow, snf
-from .plumbing import PlumbingGraph, ensure_valid, intersection_form
+from .plumbing import PlumbingGraph, _intersection_form, ensure_valid
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,12 @@ def twist_matrix(graph: PlumbingGraph, vertex: str) -> GradedAction:
     looked up from the graph's ``h1_actions`` (see module docstring).
     """
     ensure_valid(graph)
+    form = _intersection_form(graph) if graph.dimension >= 2 else None
+    return _twist(graph, form, vertex)
+
+
+def _twist(graph: PlumbingGraph, form: IntMatrix | None, vertex: str) -> GradedAction:
+    # graph already validated; form is its intersection form (None in dimension 1)
     if vertex not in graph.vertices:
         raise ValueError(f"unknown vertex {vertex!r}")
     n = graph.dimension
@@ -184,7 +190,6 @@ def twist_matrix(graph: PlumbingGraph, vertex: str) -> GradedAction:
                 "use the built-in preset or an h1_action entry in the graph file"
             )
         return GradedAction({1: stored})
-    form = intersection_form(graph)
     sign = (-1) ** ((n + 1) * (n + 2) // 2)
     v = graph.vertices.index(vertex)
     size = len(graph.vertices)
@@ -198,18 +203,20 @@ def twist_matrix(graph: PlumbingGraph, vertex: str) -> GradedAction:
 def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     """Composite action of a twist word, leftmost letter applied last.
 
-    Negative exponents use the exact integer inverse of the twist matrix.
+    The graph is validated and its intersection form built once for the
+    whole word. Negative exponents use the exact integer inverse of the twist
+    matrix.
     """
     ensure_valid(graph)
     n = graph.dimension
+    form = _intersection_form(graph) if n >= 2 else None
     degree = n if n >= 2 else 1
     size = len(graph.vertices) if n >= 2 else graph.edge_count + 1
     acc = None
     cache: dict[str, GradedAction] = {}
     for label, exp in word.letters:
         if label not in cache:
-            cache[label] = twist_matrix(graph, label)
+            cache[label] = _twist(graph, form, label)
         step = cache[label].power(exp)
         acc = step if acc is None else acc.compose(step)
     return acc if acc is not None else GradedAction({degree: IntMatrix.identity(size)})
-

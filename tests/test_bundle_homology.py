@@ -14,7 +14,15 @@ from plumbhom.bundle_homology import (
     surface_bundle_homology,
     wang_pieces,
 )
-from plumbhom.exact_linalg import AbelianGroup, IntMatrix, kernel_rank, mat_mul, mat_sub
+from plumbhom.exact_linalg import (
+    AbelianGroup,
+    IntMatrix,
+    cokernel_group,
+    det,
+    kernel_rank,
+    mat_mul,
+    mat_sub,
+)
 from plumbhom.plumbing import GradedGroup, base_homology
 from plumbhom.twist_engine import GradedAction, IDENTITY_ACTION, TwistWord, twist_matrix, word_action
 from test_exact_linalg import _random_unimodular
@@ -75,6 +83,45 @@ class TestWangPieces:
                 ]
                 diff = IntMatrix.from_rows([sum(rows, []) for rows in zip(*blocks)])
                 assert ker == kernel_rank(diff)
+
+    def test_matches_explicit_block_matrix(self):
+        # wang_pieces drops the zero blocks of absent degrees; here D_k is built
+        # in full, absent degrees as I, with identity, mat_sub and concatenation
+        rng = random.Random(20261021)
+        seen = {"all absent": 0, "stored identity": 0, "not unimodular": 0}
+        for _ in range(150):
+            ranks = {0: 1, **{k: rng.randint(1, 4) for k in rng.sample(range(1, 6), 2)}}
+            base = GradedGroup({k: AbelianGroup(r) for k, r in ranks.items()})
+            quiet = {k for k in ranks if rng.random() < 0.3}  # every monodromy absent
+            monodromies = []
+            for _ in range(2 * rng.randint(1, 3)):
+                maps = {}
+                for k, r in ranks.items():
+                    kind = rng.choice(("absent", "identity", "unimodular", "any", "any"))
+                    if k in quiet:
+                        continue
+                    if kind == "identity" or (k == 0 and kind != "absent"):
+                        maps[k] = IntMatrix.identity(r)
+                    elif kind == "unimodular":
+                        maps[k] = _random_unimodular(rng, r)
+                    elif kind == "any":
+                        maps[k] = IntMatrix(r, r, [rng.randint(-4, 4) for _ in range(r * r)])
+                        seen["not unimodular"] += det(maps[k]) not in (1, -1)
+                if rng.random() < 0.2:
+                    maps[9] = IntMatrix.zero(0, 0)  # a degree the base does not have
+                monodromies.append(GradedAction(maps))
+            pieces = wang_pieces(base, monodromies)
+            assert sorted(pieces) == sorted(ranks)
+            for k, r in ranks.items():
+                stored = [a.matrix(k) for a in monodromies if k in a.degrees()]
+                seen["all absent"] += not stored
+                seen["stored identity"] += any(m.is_identity() for m in stored)
+                identity = IntMatrix.identity(r)
+                blocks = [mat_sub(a.matrix(k, r), identity).to_rows() for a in monodromies]
+                diff = IntMatrix.from_rows([sum(rows, []) for rows in zip(*blocks)])
+                assert diff.shape == (r, r * len(monodromies))
+                assert pieces[k] == (cokernel_group(diff), kernel_rank(diff))
+        assert min(seen.values()) > 30, seen
 
     def test_base_must_be_free(self):
         base = GradedGroup({1: AbelianGroup(1, (2,))})

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import plumbhom.bundle_homology as bundle_homology
 from oracles import cofactor_det, pow_square
 from plumbhom.distinguisher import classify_distinct, filling_family, torsion_closed_form
-from plumbhom.exact_linalg import AbelianGroup, IntMatrix
+from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_group
 from plumbhom.plumbing import GradedGroup, PlumbingGraph
 from plumbhom.presets import graph_preset
 from plumbhom.twist_engine import TwistWord, parse_word
@@ -111,6 +112,19 @@ class TestFillingFamily:
         report = filling_family(A2_3PT_N2, parse_word("L1 L2"), 12)
         for entry in report.entries:
             assert entry.torsion_cardinality == torsion_closed_form(EVEN_GENERATOR, entry.k)
+
+    def test_one_reduction_per_member(self, monkeypatch):
+        # only the middle-degree block of D_k moves with k; the degrees where
+        # both monodromies act as the identity need no reduction
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return cokernel_group(m)
+
+        monkeypatch.setattr(bundle_homology, "cokernel_group", counting)
+        filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 20)
+        assert calls == [(2, 2)] * 20
 
     def test_kmax_validated(self):
         with pytest.raises(ValueError, match="k_max"):

@@ -64,6 +64,10 @@ class TestIntMatrix:
             IntMatrix(1, 1, [1.5])
         with pytest.raises(ValueError):
             IntMatrix(1, 1, [True])
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, [1.0])
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, ["1"])
 
     def test_empty_matrices_allowed(self):
         assert IntMatrix(0, 0, []).shape == (0, 0)
@@ -288,6 +292,27 @@ class TestProducts:
 
     def test_empty_product(self):
         assert mat_mul(IntMatrix.zero(2, 0), IntMatrix.zero(0, 3)) == IntMatrix.zero(2, 3)
+
+    def test_matches_triple_loop(self):
+        def naive(a, b):
+            out = [[0] * b.cols for _ in range(a.rows)]
+            for i in range(a.rows):
+                for j in range(b.cols):
+                    for t in range(a.cols):
+                        out[i][j] += a.entry(i, t) * b.entry(t, j)
+            return out
+
+        rng = random.Random(20261020)
+        shapes = [(0, 4, 3), (4, 0, 3), (2, 0, 3), (3, 4, 0), (0, 0, 0), (1, 1, 1)]
+        shapes += [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(80)]
+        for n, k, m in shapes:
+            span = rng.choice((9, 2 ** 80))
+            a = IntMatrix(n, k, [rng.randint(-span, span) for _ in range(n * k)])
+            b = IntMatrix(k, m, [rng.randint(-span, span) for _ in range(k * m)])
+            product = mat_mul(a, b)
+            assert product.shape == (n, m)
+            assert product.to_rows() == naive(a, b)
+            assert product == IntMatrix.from_rows(naive(a, b), cols=m)
 
 
 class TestInverse:

@@ -3,7 +3,9 @@
 The files were captured at the commit before the dimension-1 action preset,
 the adjugate inverse and the repeated per-member reductions were removed, so
 they pin that those removals changed no output; ``fillings-n2-t1t2-k40.csv``
-was captured before the cokernels moved from ``snf`` to ``smith_invariants``.
+was captured before the cokernels moved from ``snf`` to ``smith_invariants``,
+and ``fillings-a8-chain-coxeter.*`` before the identity blocks of D_k were
+dropped and the graph was validated once per word.
 Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
 tests/golden/<name>`` only when an output is meant to change.
 """
@@ -37,6 +39,12 @@ CASES = {
 CASES["fillings-n2-t1t2-k40.csv"] = [
     "fillings", "--preset", "a2-3pt-n2", "--word", "t1 t2", "--kmax", "40", "--format", "csv",
 ]
+# a graph file: the A_8 chain in dimension 3 with its Coxeter word (8x8 products)
+for fmt in ("table", "csv", "json"):
+    CASES[f"fillings-a8-chain-coxeter.{fmt}"] = [
+        "fillings", "--graph", str(GOLDEN / "a8-chain-n3.graph.json"),
+        "--word", "v0 v1 v2 v3 v4 v5 v6 v7", "--kmax", "6", "--format", fmt,
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -7,10 +7,11 @@ import random
 import pytest
 
 import plumbhom.exact_linalg as exact_linalg
+import plumbhom.plumbing as plumbing
 import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det
 from plumbhom.exact_linalg import IntMatrix, mat_mul, mat_sub
-from plumbhom.plumbing import PlumbingGraph, intersection_form
+from plumbhom.plumbing import PlumbingGraph, intersection_form, validate
 from plumbhom.presets import graph_preset
 from plumbhom.twist_engine import (
     GradedAction,
@@ -138,6 +139,19 @@ class TestWordAction:
         for label in labels:
             expected = mat_mul(expected, twist_matrix(graph, label).matrix(3))
         assert action.matrix(3) == expected
+
+    def test_graph_validated_once_per_word(self, monkeypatch):
+        labels = tuple(f"v{i}" for i in range(20))
+        graph = PlumbingGraph(3, labels, tuple((a, b, 1) for a, b in zip(labels, labels[1:])))
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return validate(g)
+
+        monkeypatch.setattr(plumbing, "validate", counting)
+        word_action(graph, parse_word(" ".join(labels)))
+        assert len(calls) == 1
 
     def test_rank_one_perturbation_is_nilpotent_for_odd_n(self):
         # T = I + N with N^2 = 0, so T^k = I + kN
