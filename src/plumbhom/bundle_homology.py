@@ -26,30 +26,29 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
-from .exact_linalg import AbelianGroup, IntMatrix, cokernel_group
+from .exact_linalg import AbelianGroup, Frozen, IntMatrix, cokernel_group
 from .plumbing import GradedGroup
-from .twist_engine import GradedAction
+from .twist_engine import IDENTITY_ACTION, GradedAction
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Frozen):
     """Assignments for the 2g free generators a_1, b_1, ..., a_g, b_g."""
 
-    genus: int
-    assignments: tuple[GradedAction, ...]
+    __slots__ = ("genus", "assignments")
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignments", tuple(self.assignments))
-        if not isinstance(self.genus, int) or self.genus < 1:
-            raise ValueError(f"genus must be an integer >= 1, got {self.genus!r}")
-        if len(self.assignments) != 2 * self.genus:
+    def __init__(self, genus: int, assignments: Iterable[GradedAction]):
+        assignments = tuple(assignments)
+        if not isinstance(genus, int) or genus < 1:
+            raise ValueError(f"genus must be an integer >= 1, got {genus!r}")
+        if len(assignments) != 2 * genus:
             raise ValueError(
-                f"expected {2 * self.genus} assignments for genus {self.genus}, "
-                f"got {len(self.assignments)}"
+                f"expected {2 * genus} assignments for genus {genus}, "
+                f"got {len(assignments)}"
             )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "assignments", assignments)
 
 
 def wang_pieces(
@@ -90,7 +89,7 @@ def wang_pieces(
         r = base.rank(k)
         cols = r * len(monodromies)
         if k not in stored:
-            pieces[k] = (AbelianGroup(r), cols)
+            pieces[k] = (AbelianGroup._unchecked(r, ()), cols)
             continue
         coker = cokernel_group(_difference_blocks(stored[k], r))
         pieces[k] = (coker, cols - r + coker.free_rank)
@@ -108,14 +107,17 @@ def _difference_blocks(maps: Sequence[IntMatrix], r: int) -> IntMatrix:
     return IntMatrix._unchecked(r, r * len(maps), tuple(out))
 
 
+_NO_PIECE = (AbelianGroup(0), 0)
+
+
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
+    # every piece was checked where it was built, so the sums need no check
     pieces = wang_pieces(base, monodromies)
-    empty = (AbelianGroup(0), 0)
     groups = {}
     for k in sorted(set(pieces) | {k + 1 for k in pieces}):
-        coker = pieces.get(k, empty)[0]
-        free = coker.free_rank + pieces.get(k - 1, empty)[1]
-        groups[k] = AbelianGroup(free, coker.invariant_factors)
+        coker = pieces.get(k, _NO_PIECE)[0]
+        free = coker.free_rank + pieces.get(k - 1, _NO_PIECE)[1]
+        groups[k] = AbelianGroup._unchecked(free, coker.invariant_factors)
     return GradedGroup(groups)
 
 
@@ -133,12 +135,14 @@ def surface_bundle_homology(base: GradedGroup, rep: Representation) -> GradedGro
     return _total_space_homology(base, list(rep.assignments))
 
 
-@dataclass(frozen=True)
-class BoundaryCheck:
+class BoundaryCheck(Frozen):
     """Outcome of the homology-level boundary condition."""
 
-    ok: bool
-    failing_degrees: tuple[int, ...] = ()
+    __slots__ = ("ok", "failing_degrees")
+
+    def __init__(self, ok: bool, failing_degrees: tuple[int, ...] = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failing_degrees", failing_degrees)
 
 
 def boundary_check(rep: Representation) -> BoundaryCheck:
@@ -150,7 +154,7 @@ def boundary_check(rep: Representation) -> BoundaryCheck:
     the right-hand side, ``(prod_{i<g} [A_i, B_i]) A_g B_g == B_g A_g``, so
     genus 1 needs no inverse.
     """
-    left = GradedAction({})
+    left = IDENTITY_ACTION
     for i in range(rep.genus - 1):
         a = rep.assignments[2 * i]
         b = rep.assignments[2 * i + 1]

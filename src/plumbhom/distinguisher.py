@@ -16,13 +16,12 @@ recurrence stays in exact integers throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .bundle_homology import Representation, boundary_check, surface_bundle_homology
-from .exact_linalg import IntMatrix, det
+from .exact_linalg import Frozen, IntMatrix, det
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
-from .twist_engine import GradedAction, TwistWord, word_action
+from .twist_engine import IDENTITY_ACTION, TwistWord, word_action
 
 INDEXING_NOTE = (
     "cokernel torsion is reported in its own degree (mapping-cone orientation "
@@ -30,28 +29,37 @@ INDEXING_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class FillingEntry:
-    k: int
-    homology: GradedGroup
-    torsion_factors: tuple[int, ...]
-    torsion_cardinality: int
-    boundary_ok: bool
-    class_id: int
+class FillingEntry(Frozen):
+    __slots__ = ("k", "homology", "torsion_factors", "torsion_cardinality", "boundary_ok",
+                 "class_id")
+
+    def __init__(self, k: int, homology: GradedGroup, torsion_factors: tuple[int, ...],
+                 torsion_cardinality: int, boundary_ok: bool, class_id: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "homology", homology)
+        object.__setattr__(self, "torsion_factors", torsion_factors)
+        object.__setattr__(self, "torsion_cardinality", torsion_cardinality)
+        object.__setattr__(self, "boundary_ok", boundary_ok)
+        object.__setattr__(self, "class_id", class_id)
 
 
-@dataclass(frozen=True)
-class FillingReport:
+class FillingReport(Frozen):
     """Per-k homology of the filling family plus distinctness classes."""
 
-    graph: PlumbingGraph
-    word: str
-    k_max: int
-    torsion_degree: int
-    indexing_note: str
-    entries: tuple[FillingEntry, ...]
-    distinct_classes: int
-    trivial_torsion_ks: tuple[int, ...]
+    __slots__ = ("graph", "word", "k_max", "torsion_degree", "indexing_note", "entries",
+                 "distinct_classes", "trivial_torsion_ks")
+
+    def __init__(self, graph: PlumbingGraph, word: str, k_max: int, torsion_degree: int,
+                 indexing_note: str, entries: tuple[FillingEntry, ...], distinct_classes: int,
+                 trivial_torsion_ks: tuple[int, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "torsion_degree", torsion_degree)
+        object.__setattr__(self, "indexing_note", indexing_note)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "distinct_classes", distinct_classes)
+        object.__setattr__(self, "trivial_torsion_ks", trivial_torsion_ks)
 
 
 def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> FillingReport:
@@ -64,13 +72,12 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     generator = word_action(graph, word)
     base = base_homology(graph)
     degree = graph.dimension
-    identity = GradedAction({})
-    power = identity
+    power = IDENTITY_ACTION
     homologies: list[GradedGroup] = []
     raw: list[tuple[int, GradedGroup, tuple[int, ...], int, bool]] = []
     for k in range(1, k_max + 1):
         power = power.compose(generator)
-        rep = Representation(1, (power, identity))
+        rep = Representation(1, (power, IDENTITY_ACTION))
         check = boundary_check(rep)
         homology = surface_bundle_homology(base, rep)
         torsion = homology.group(degree)

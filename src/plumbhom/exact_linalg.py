@@ -30,15 +30,24 @@ constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
 that were already checked (``mat_mul``, ``mat_sub``, ``transpose``,
 ``identity``, ``zero``, the Wang blocks D_k) hold ints by construction and are
 built through ``IntMatrix._unchecked``, which skips the per-entry check.
+
+``Frozen`` is the one base of the package's immutable value types
+(``AbelianGroup`` here, and the graph, word, representation and report types
+downstream): equality, hash and repr read the fields named in the subclass's
+``__slots__``, and assignment raises ``AttributeError``. Each subclass checks
+its fields in ``__init__``. ``AbelianGroup._unchecked``, like
+``IntMatrix._unchecked``, wraps a free rank and factors that were already
+checked (a Smith diagonal, or the pieces of a group built before) and skips
+the checks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from math import gcd
-from operator import mul, sub
-from typing import Iterable, NamedTuple
+from operator import attrgetter, mul, sub
 
 
 class IntMatrix:
@@ -148,16 +157,51 @@ class IntMatrix:
         return format_matrix(self)
 
 
-class SnfResult(NamedTuple):
-    """Smith decomposition ``U @ M @ V == S`` with unimodular U, V."""
-
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+SnfResult = namedtuple("SnfResult", ("U", "S", "V"))
+SnfResult.__doc__ = "Smith decomposition ``U @ M @ V == S`` with unimodular U, V."
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class Frozen:
+    """Immutable value whose fields are the subclass's ``__slots__``, in order.
+
+    Objects are equal only to objects of the same class with equal fields;
+    the hash and the ``Name(field=value, ...)`` repr read the same fields.
+    Assignment and deletion raise ``AttributeError``, so ``__init__`` sets
+    each slot through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # an attrgetter is not a method: self._key(self) reads the fields
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since slots cannot be assigned
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class AbelianGroup(Frozen):
     """Finitely generated abelian group in canonical form.
 
     ``invariant_factors`` is the divisor chain d_1 | d_2 | ... presenting the
@@ -165,20 +209,28 @@ class AbelianGroup:
     the free rank, ones are dropped).
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
-            raise ValueError(f"free rank must be a nonnegative integer, got {self.free_rank!r}")
-        factors = self.invariant_factors
+    def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
+        factors = tuple(invariant_factors)
+        if not isinstance(free_rank, int) or free_rank < 0:
+            raise ValueError(f"free rank must be a nonnegative integer, got {free_rank!r}")
         for d in factors:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"invariant factors must be integers >= 2, got {d!r}")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisor chain, got {factors}")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", factors)
+
+    @classmethod
+    def _unchecked(cls, free_rank: int, invariant_factors: tuple[int, ...]) -> "AbelianGroup":
+        """Wrap a free rank and a divisor chain of factors >= 2 checked before."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "free_rank", free_rank)
+        object.__setattr__(g, "invariant_factors", invariant_factors)
+        return g
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
@@ -462,7 +514,7 @@ def cokernel_group(m: IntMatrix) -> AbelianGroup:
     are built.
     """
     diag = smith_invariants(m)
-    return AbelianGroup(m.rows - len(diag), tuple(d for d in diag if d > 1))
+    return AbelianGroup._unchecked(m.rows - len(diag), tuple([d for d in diag if d > 1]))
 
 
 def det(m: IntMatrix) -> int:

@@ -18,32 +18,29 @@ graph as ``h1_actions`` (the ``a2-3pt-n1`` preset in ``presets`` carries one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
-from .exact_linalg import AbelianGroup, IntMatrix, det
+from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Frozen):
     """Signed plumbing graph with ambient sphere dimension.
 
     ``h1_actions`` optionally carries, for dimension-1 graphs only, the matrix
     of a twist's action on H_1 for selected vertices (rank E + 1, unimodular).
     """
 
-    dimension: int
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, int], ...]
-    h1_actions: tuple[tuple[str, IntMatrix], ...] = field(default=())
+    __slots__ = ("dimension", "vertices", "edges", "h1_actions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((a, b, s) for (a, b, s) in self.edges))
-        actions = self.h1_actions
-        if isinstance(actions, Mapping):
-            actions = tuple(actions.items())
-        object.__setattr__(self, "h1_actions", tuple(actions))
+    def __init__(self, dimension: int, vertices: Iterable[str],
+                 edges: Iterable[tuple[str, str, int]],
+                 h1_actions: Mapping[str, IntMatrix] | Iterable[tuple[str, IntMatrix]] = ()):
+        if isinstance(h1_actions, Mapping):
+            h1_actions = h1_actions.items()
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "edges", tuple((a, b, s) for (a, b, s) in edges))
+        object.__setattr__(self, "h1_actions", tuple(h1_actions))
 
     @property
     def edge_count(self) -> int:

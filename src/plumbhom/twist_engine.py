@@ -18,27 +18,25 @@ come from ``h1_actions`` entries on the graph (the ``a2-3pt-n1`` preset in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
-from .exact_linalg import IntMatrix, mat_mul, mat_pow, snf
+from .exact_linalg import Frozen, IntMatrix, mat_mul, mat_pow, snf
 from .plumbing import PlumbingGraph, _intersection_form, ensure_valid
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Frozen):
     """Word in twist generators; leftmost letter is applied last."""
 
-    letters: tuple[tuple[str, int], ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        letters = tuple((label, exp) for label, exp in self.letters)
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, letters: Iterable[tuple[str, int]]):
+        letters = tuple((label, exp) for label, exp in letters)
         for label, exp in letters:
             if not label:
                 raise ValueError("empty vertex label in word")
             if not isinstance(exp, int) or isinstance(exp, bool) or exp == 0:
                 raise ValueError(f"word exponents must be nonzero integers, got {exp!r}")
+        object.__setattr__(self, "letters", letters)
 
     def __str__(self) -> str:
         return " ".join(
@@ -103,7 +101,15 @@ class GradedAction:
         return m
 
     def compose(self, other: "GradedAction") -> "GradedAction":
-        """self applied after other (matrix product self @ other per degree)."""
+        """self applied after other (matrix product self @ other per degree).
+
+        Actions are immutable, so when one side stores no matrix the other is
+        returned as it is.
+        """
+        if not self._maps:
+            return other
+        if not other._maps:
+            return self
         out: dict[int, IntMatrix] = {}
         for k in sorted(set(self._maps) | set(other._maps)):
             a = self._maps.get(k)

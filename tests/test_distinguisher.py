@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import plumbhom.bundle_homology as bundle_homology
@@ -10,7 +12,7 @@ from plumbhom.distinguisher import classify_distinct, filling_family, torsion_cl
 from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_group
 from plumbhom.plumbing import GradedGroup, PlumbingGraph
 from plumbhom.presets import graph_preset
-from plumbhom.twist_engine import TwistWord, parse_word
+from plumbhom.twist_engine import GradedAction, TwistWord, parse_word
 from test_plumbing import A2_3PT_N2, A2_3PT_N3
 
 A2_1PT_N3 = PlumbingGraph(3, ("L1", "L2"), (("L1", "L2", 1),))
@@ -125,6 +127,23 @@ class TestFillingFamily:
         monkeypatch.setattr(bundle_homology, "cokernel_group", counting)
         filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 20)
         assert calls == [(2, 2)] * 20
+
+    def test_checked_constructions_do_not_grow_with_k(self, monkeypatch):
+        # each member's groups reuse checked Smith invariants, and phi^k is the
+        # one action built per member
+        counts = Counter()
+        for cls in (AbelianGroup, GradedAction):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 10)
+        few = dict(counts)
+        counts.clear()
+        filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 30)
+        assert counts["AbelianGroup"] == few["AbelianGroup"]
+        assert counts["GradedAction"] - few["GradedAction"] == 20
 
     def test_kmax_validated(self):
         with pytest.raises(ValueError, match="k_max"):

@@ -1,0 +1,34 @@
+"""What importing the command line loads.
+
+Every command pays for its imports at interpreter start, so the package keeps
+to modules the interpreter and ``argparse`` load anyway. The per-layer trace
+of the benchmark patches the program modules already in ``sys.modules`` after
+``import plumbhom.cli``, so the CLI must import all of them eagerly.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PROGRAM_MODULES = ("exact_linalg", "plumbing", "twist_engine", "bundle_homology",
+                   "distinguisher", "cli")
+HEAVY_MODULES = ("dataclasses", "inspect", "typing")
+
+
+def test_cli_import_loads_no_heavy_modules_and_every_program_module():
+    code = (
+        "import json, sys\n"
+        "import plumbhom.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert [name for name in HEAVY_MODULES if name in loaded] == []
+    assert [name for name in PROGRAM_MODULES if f"plumbhom.{name}" not in loaded] == []

@@ -234,6 +234,12 @@ class TestGradedAction:
         a = GradedAction({3: IntMatrix.from_rows([[1, 1], [0, 1]])})
         assert a != IDENTITY_ACTION
 
+    def test_compose_with_an_empty_action_returns_the_other(self):
+        a = GradedAction({3: IntMatrix.from_rows([[1, 1], [0, 1]])})
+        assert IDENTITY_ACTION.compose(a) is a
+        assert a.compose(GradedAction({})) is a
+        assert IDENTITY_ACTION.compose(IDENTITY_ACTION) is IDENTITY_ACTION
+
     def test_compose_size_mismatch(self):
         a = GradedAction({3: IntMatrix.identity(2)})
         b = GradedAction({3: IntMatrix.identity(3)})

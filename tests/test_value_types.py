@@ -1,0 +1,209 @@
+"""The value-type contract of the seven immutable result and input classes.
+
+Reprs, equality, hashing, immutability, keyword construction, copying and the
+validation messages are pinned here, so the classes can change how they are
+built without changing what callers see.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from plumbhom.bundle_homology import BoundaryCheck, Representation
+from plumbhom.distinguisher import INDEXING_NOTE, FillingEntry, FillingReport
+from plumbhom.exact_linalg import AbelianGroup, IntMatrix
+from plumbhom.plumbing import GradedGroup, PlumbingGraph
+from plumbhom.presets import graph_preset
+from plumbhom.twist_engine import IDENTITY_ACTION, GradedAction, TwistWord
+
+H1 = IntMatrix.from_rows([[1, -3, -1, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+SPIN = GradedAction({3: IntMatrix.from_rows([[0, -1], [1, 0]])})
+HOMOLOGY = GradedGroup({0: AbelianGroup(1), 3: AbelianGroup(1, (3,))})
+N3 = graph_preset("a2-3pt-n3")
+N3_REPR = (
+    "PlumbingGraph(dimension=3, vertices=('t1', 't2'), edges=(('t1', 't2', 1), "
+    "('t1', 't2', 1), ('t1', 't2', 1)), h1_actions=())"
+)
+ENTRY_REPR = (
+    "FillingEntry(k=1, homology=GradedGroup({0: Z^1, 3: Z^1+Z/3}), torsion_factors=(3,), "
+    "torsion_cardinality=3, boundary_ok=True, class_id=1)"
+)
+
+
+def _entry(**changes):
+    fields = dict(k=1, homology=HOMOLOGY, torsion_factors=(3,), torsion_cardinality=3,
+                  boundary_ok=True, class_id=1)
+    fields.update(changes)
+    return FillingEntry(**fields)
+
+
+def _report(**changes):
+    fields = dict(graph=N3, word="t1", k_max=1, torsion_degree=3, indexing_note=INDEXING_NOTE,
+                  entries=(_entry(),), distinct_classes=1, trivial_torsion_ks=())
+    fields.update(changes)
+    return FillingReport(**fields)
+
+
+FIELDS = {
+    "AbelianGroup": ("free_rank", "invariant_factors"),
+    "PlumbingGraph": ("dimension", "vertices", "edges", "h1_actions"),
+    "TwistWord": ("letters",),
+    "Representation": ("genus", "assignments"),
+    "BoundaryCheck": ("ok", "failing_degrees"),
+    "FillingEntry": ("k", "homology", "torsion_factors", "torsion_cardinality", "boundary_ok",
+                     "class_id"),
+    "FillingReport": ("graph", "word", "k_max", "torsion_degree", "indexing_note", "entries",
+                      "distinct_classes", "trivial_torsion_ks"),
+}
+
+# name -> (positional construction, keyword construction, frozen repr, one differing object)
+CASES = {
+    "AbelianGroup": (
+        lambda: AbelianGroup(1, [2, 4]),
+        lambda: AbelianGroup(free_rank=1, invariant_factors=(2, 4)),
+        "AbelianGroup(free_rank=1, invariant_factors=(2, 4))",
+        lambda: AbelianGroup(1, (4,)),
+    ),
+    "PlumbingGraph": (
+        lambda: PlumbingGraph(1, ["t1", "t2"], [["t1", "t2", 1]] * 3, {"t1": H1}),
+        lambda: PlumbingGraph(dimension=1, vertices=("t1", "t2"),
+                              edges=(("t1", "t2", 1),) * 3, h1_actions=(("t1", H1),)),
+        "PlumbingGraph(dimension=1, vertices=('t1', 't2'), edges=(('t1', 't2', 1), "
+        "('t1', 't2', 1), ('t1', 't2', 1)), h1_actions=(('t1', IntMatrix(4, 4, "
+        "[1, -3, -1, -1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1])),))",
+        lambda: PlumbingGraph(1, ("t1", "t2"), (("t1", "t2", 1),) * 3),
+    ),
+    "TwistWord": (
+        lambda: TwistWord([("t1", 2), ["t2", -1]]),
+        lambda: TwistWord(letters=(("t1", 2), ("t2", -1))),
+        "TwistWord(letters=(('t1', 2), ('t2', -1)))",
+        lambda: TwistWord((("t1", 2),)),
+    ),
+    "Representation": (
+        lambda: Representation(1, [SPIN, IDENTITY_ACTION]),
+        lambda: Representation(genus=1, assignments=(SPIN, GradedAction({}))),
+        "Representation(genus=1, assignments=(GradedAction({3: [[0,-1],[1,0]]}), "
+        "GradedAction({})))",
+        lambda: Representation(1, [IDENTITY_ACTION, SPIN]),
+    ),
+    "BoundaryCheck": (
+        lambda: BoundaryCheck(False, (3,)),
+        lambda: BoundaryCheck(ok=False, failing_degrees=(3,)),
+        "BoundaryCheck(ok=False, failing_degrees=(3,))",
+        lambda: BoundaryCheck(True),
+    ),
+    "FillingEntry": (
+        lambda: FillingEntry(1, HOMOLOGY, (3,), 3, True, 1),
+        _entry,
+        ENTRY_REPR,
+        lambda: _entry(class_id=2),
+    ),
+    "FillingReport": (
+        lambda: FillingReport(N3, "t1", 1, 3, INDEXING_NOTE, (_entry(),), 1, ()),
+        _report,
+        f"FillingReport(graph={N3_REPR}, word='t1', k_max=1, torsion_degree=3, "
+        f"indexing_note={INDEXING_NOTE!r}, entries=({ENTRY_REPR},), distinct_classes=1, "
+        "trivial_torsion_ks=())",
+        lambda: _report(word="t1^1"),
+    ),
+}
+NAMES = sorted(CASES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr(name):
+    positional, keyword, text, _ = CASES[name]
+    assert repr(positional()) == text
+    assert repr(keyword()) == text
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_fields_equal_objects_and_hashes(name):
+    positional, keyword, _, other = CASES[name]
+    a, b = positional(), keyword()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other() and not a == other()
+    assert len({a, b, other()}) == 2
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_in_signature_order(name):
+    a = CASES[name][0]()
+    values = [getattr(a, field) for field in FIELDS[name]]
+    assert type(a)(*values) == a
+    assert type(a)(**dict(zip(FIELDS[name], values))) == a
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_other_classes_never_equal(name):
+    a = CASES[name][0]()
+    fields = {field: getattr(a, field) for field in FIELDS[name]}
+    twin = type("LookAlike", (type(a),), {})(**fields)
+    assert all(getattr(twin, field) == value for field, value in fields.items())
+    assert a != twin and twin != a
+    assert a != tuple(fields.values())
+    assert a.__eq__(twin) is NotImplemented
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_and_deletion_raise(name):
+    a = CASES[name][0]()
+    field = FIELDS[name][0]
+    before = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, before)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert getattr(a, field) is before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_copy_and_pickle_round_trip(name):
+    positional, _, text, _ = CASES[name]
+    a = positional()
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == text
+
+
+def test_defaults():
+    assert AbelianGroup(2) == AbelianGroup(2, ())
+    assert PlumbingGraph(3, ("t1",), ()).h1_actions == ()
+    assert BoundaryCheck(True).failing_degrees == ()
+
+
+def test_normalisation_makes_tuples():
+    g = PlumbingGraph(1, ["t1", "t2"], [["t1", "t2", 1]], {"t1": H1})
+    assert g.vertices == ("t1", "t2")
+    assert g.edges == (("t1", "t2", 1),)
+    assert g.h1_actions == (("t1", H1),)
+    assert AbelianGroup(0, [2]).invariant_factors == (2,)
+    assert TwistWord([["t1", 1]]).letters == (("t1", 1),)
+    assert Representation(1, [SPIN, SPIN]).assignments == (SPIN, SPIN)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AbelianGroup(-1), "free rank must be a nonnegative integer, got -1"),
+    (lambda: AbelianGroup(1.0), "free rank must be a nonnegative integer, got 1.0"),
+    (lambda: AbelianGroup(0, (1,)), "invariant factors must be integers >= 2, got 1"),
+    (lambda: AbelianGroup(0, (2.0,)), "invariant factors must be integers >= 2, got 2.0"),
+    (lambda: AbelianGroup(0, [2, 3]), "invariant factors must form a divisor chain, got (2, 3)"),
+    (lambda: TwistWord([("", 1)]), "empty vertex label in word"),
+    (lambda: TwistWord([("t1", 0)]), "word exponents must be nonzero integers, got 0"),
+    (lambda: TwistWord([("t1", True)]), "word exponents must be nonzero integers, got True"),
+    (lambda: TwistWord([("t1", 1.5)]), "word exponents must be nonzero integers, got 1.5"),
+    (lambda: Representation(0, ()), "genus must be an integer >= 1, got 0"),
+    (lambda: Representation("1", ()), "genus must be an integer >= 1, got '1'"),
+    (lambda: Representation(2, [SPIN] * 3), "expected 4 assignments for genus 2, got 3"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
