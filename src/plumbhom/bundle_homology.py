@@ -84,16 +84,16 @@ def wang_pieces(
         zero = dict(maps).get(0)
         if zero is not None and not zero.is_identity():
             raise ValueError("monodromies must act as the identity on degree 0")
-    pieces: dict[int, tuple[AbelianGroup, int]] = {}
-    for k in base.degrees():
-        r = base.rank(k)
-        cols = r * len(monodromies)
-        if k not in stored:
-            pieces[k] = (AbelianGroup._unchecked(r, ()), cols)
-            continue
-        coker = cokernel_group(_difference_blocks(stored[k], r))
-        pieces[k] = (coker, cols - r + coker.free_rank)
-    return pieces
+    m = len(monodromies)
+    return {k: _wang_piece(stored.get(k, ()), base.rank(k), m) for k in base.degrees()}
+
+
+def _wang_piece(blocks: Sequence[IntMatrix], r: int, m: int) -> tuple[AbelianGroup, int]:
+    """(coker D, kernel rank of D) for the stored r x r blocks of m monodromies."""
+    if not blocks:
+        return AbelianGroup._unchecked(r, ()), r * m
+    coker = cokernel_group(_difference_blocks(blocks, r))
+    return coker, r * (m - 1) + coker.free_rank
 
 
 def _difference_blocks(maps: Sequence[IntMatrix], r: int) -> IntMatrix:
@@ -110,15 +110,22 @@ def _difference_blocks(maps: Sequence[IntMatrix], r: int) -> IntMatrix:
 _NO_PIECE = (AbelianGroup(0), 0)
 
 
-def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
+def _total_groups(
+    pieces: dict[int, tuple[AbelianGroup, int]], around: Iterable[int]
+) -> dict[int, AbelianGroup]:
+    """H_j(E) = coker D_j + Z^(kernel rank of D_{j-1}) for j = k and k + 1, k in around."""
     # every piece was checked where it was built, so the sums need no check
-    pieces = wang_pieces(base, monodromies)
     groups = {}
-    for k in sorted(set(pieces) | {k + 1 for k in pieces}):
+    for k in sorted(set(around) | {k + 1 for k in around}):
         coker = pieces.get(k, _NO_PIECE)[0]
         free = coker.free_rank + pieces.get(k - 1, _NO_PIECE)[1]
         groups[k] = AbelianGroup._unchecked(free, coker.invariant_factors)
-    return GradedGroup(groups)
+    return groups
+
+
+def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
+    pieces = wang_pieces(base, monodromies)
+    return GradedGroup._unchecked(_total_groups(pieces, pieces))
 
 
 def mapping_torus_homology(base: GradedGroup, phi: GradedAction) -> GradedGroup:

@@ -84,9 +84,12 @@ def _load_graph(args) -> PlumbingGraph:
 def _write(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from None
 
 
 def _json_dumps(obj) -> str:

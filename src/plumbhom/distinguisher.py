@@ -8,6 +8,14 @@ records, per k, the full graded group, the torsion in the distinguished
 degree, and a distinctness class; ks with trivial torsion are flagged rather
 than assumed distinct.
 
+Member k = 1 goes through ``wang_pieces`` on (phi, Id), which checks phi
+once. Later members differ from it only in the degrees d where phi stores a
+matrix: there D_d = phi^k_d - I (the identity partner adds a zero block), so
+each member reduces that one block of the running product phi^k and rebuilds
+H_d and H_{d+1} (cokernel in d, kernel rank one degree up); every other degree
+keeps member 1's group. The boundary condition [phi^k, Id] = Id holds for
+every k, so it is checked once and its outcome put on every entry.
+
 ``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
 eigenvalues l, 1/l the torsion cardinality is |det(M^k - I)| = |2 - t_k|,
 where t_k = trace(M^k) satisfies t_k = t(M) t_{k-1} - t_{k-2}, t_0 = 2. The
@@ -18,8 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bundle_homology import Representation, boundary_check, surface_bundle_homology
-from .exact_linalg import Frozen, IntMatrix, det
+from .bundle_homology import Representation, _total_groups, _wang_piece, boundary_check, wang_pieces
+from .exact_linalg import Frozen, IntMatrix, det, mat_mul
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
 from .twist_engine import IDENTITY_ACTION, TwistWord, word_action
 
@@ -67,26 +75,33 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
 
     ``word`` is a TwistWord over the graph; phi^k is kept as a running product.
     """
-    if not isinstance(k_max, int) or k_max < 1:
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     generator = word_action(graph, word)
     base = base_homology(graph)
     degree = graph.dimension
-    power = IDENTITY_ACTION
+    # member k = 1 checks phi and gives the pieces every later member reuses
+    ok = boundary_check(Representation(1, (generator, IDENTITY_ACTION))).ok
+    pieces = wang_pieces(base, [generator, IDENTITY_ACTION])
+    groups = _total_groups(pieces, pieces)
+    moving = {d: m for d, m in generator.items() if d in pieces}
+    power = dict(moving)
     homologies: list[GradedGroup] = []
-    raw: list[tuple[int, GradedGroup, tuple[int, ...], int, bool]] = []
+    raw: list[tuple[int, GradedGroup, tuple[int, ...], int]] = []
     for k in range(1, k_max + 1):
-        power = power.compose(generator)
-        rep = Representation(1, (power, IDENTITY_ACTION))
-        check = boundary_check(rep)
-        homology = surface_bundle_homology(base, rep)
+        if k > 1:
+            for d, m in moving.items():
+                power[d] = mat_mul(power[d], m)
+                pieces[d] = _wang_piece((power[d],), m.rows, 2)
+            groups.update(_total_groups(pieces, moving))
+        homology = GradedGroup._unchecked(groups)
         torsion = homology.group(degree)
         homologies.append(homology)
-        raw.append((k, homology, torsion.invariant_factors, torsion.torsion_cardinality, check.ok))
+        raw.append((k, homology, torsion.invariant_factors, torsion.torsion_cardinality))
     classes = classify_distinct(homologies)
     entries = tuple(
         FillingEntry(k, hom, factors, cardinality, ok, class_id)
-        for (k, hom, factors, cardinality, ok), class_id in zip(raw, classes)
+        for (k, hom, factors, cardinality), class_id in zip(raw, classes)
     )
     return FillingReport(
         graph=graph,

@@ -71,6 +71,13 @@ class GradedGroup:
                 cleaned[k] = g
         self._groups = cleaned
 
+    @classmethod
+    def _unchecked(cls, groups: dict[int, AbelianGroup]) -> "GradedGroup":
+        """Wrap groups keyed by ascending degrees >= 0; trivial ones dropped as in ``__init__``."""
+        g = object.__new__(cls)
+        g._groups = {k: a for k, a in groups.items() if not a.is_trivial()}
+        return g
+
     def group(self, degree: int) -> AbelianGroup:
         return self._groups.get(degree, _TRIVIAL)
 

@@ -250,6 +250,24 @@ class TestCliContract:
         assert out == ""
         assert target.read_text() == "[[0,3],[-3,0]]\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--preset", "a2-3pt-n3"],
+        ["form", "--preset", "a2-3pt-n3"],
+        ["homology", "--preset", "a2-3pt-n3"],
+        ["twist", "--preset", "a2-3pt-n3", "--word", "t1"],
+        ["torus", "--preset", "a2-3pt-n3", "--word", "t1"],
+        ["fillings", "--preset", "a2-3pt-n3", "--word", "t1", "--kmax", "2"],
+        ["snf", "--matrix", "[[2]]"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path, argv):
+        for target, reason in ((tmp_path / "missing" / "out.txt", "No such file"),
+                               (tmp_path, "Is a directory")):
+            code, out, err = invoke(capsys, *argv, "--out", str(target))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: cannot write output: ")
+            assert reason in err
+            assert err.count("\n") == 1
+
     def test_byte_determinism(self, capsys):
         args = (
             "fillings", "--preset", "a2-3pt-n2", "--word", "t1 t2",

@@ -4,8 +4,10 @@ The files were captured at the commit before the dimension-1 action preset,
 the adjugate inverse and the repeated per-member reductions were removed, so
 they pin that those removals changed no output; ``fillings-n2-t1t2-k40.csv``
 was captured before the cokernels moved from ``snf`` to ``smith_invariants``,
-and ``fillings-a8-chain-coxeter.*`` before the identity blocks of D_k were
-dropped and the graph was validated once per word.
+``fillings-a8-chain-coxeter.*`` before the identity blocks of D_k were
+dropped and the graph was validated once per word, and
+``fillings-n5-1pt-t1t2-k7.*`` before the family stopped rebuilding the
+degrees phi^k leaves fixed.
 Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
 tests/golden/<name>`` only when an output is meant to change.
 """
@@ -29,6 +31,9 @@ COMMANDS = {
         ["fillings", "--preset", "a2-3pt-n2", "--word", "t1^-3 t2", "--kmax", "12"],
     "twist-n1-t1inv3": ["twist", "--preset", "a2-3pt-n1", "--word", "t1^-3"],
     "torus-n1-t1inv": ["torus", "--preset", "a2-3pt-n1", "--word", "t1^-1"],
+    # phi of order 6: H5 vanishes at k = 1, 5, 7 and turns free at k = 6 (H6 Z^2 -> Z^4)
+    "fillings-n5-1pt-t1t2-k7":
+        ["fillings", "--preset", "a2-1pt-n5", "--word", "t1 t2", "--kmax", "7"],
 }
 CASES = {
     f"{name}.{fmt}": [*argv, "--format", fmt]
