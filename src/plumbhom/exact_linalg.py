@@ -6,19 +6,24 @@ deliberately plain: dense matrices of Python ints, no floats, no modular
 reduction of entries. Torsion orders in the applications grow exponentially,
 which rules out fixed-width arithmetic from the start.
 
-Two routines reach the Smith form. ``snf`` drives a matrix to Smith normal
-form by unimodular row and column operations and returns the transforms as
-witnesses (``U @ M @ V == S``); only callers that use the transforms need it:
-the CLI ``snf`` command and ``GradedAction.inverse``. Pivots are always the
-nonzero entry of smallest absolute value in the working submatrix, ties
-broken by lowest (row, column); this bounds intermediate growth and makes the
-output deterministic. Diagonal entries are normalized to be nonnegative, with
-signs pushed into ``U``.
+One pivot step, ``_eliminate_pivot``, does all Smith elimination. It takes
+the nonzero entry of smallest absolute value in the working block, ties
+broken by the first in row-major order of the block as it lies at that
+moment (both callers may hold it transposed against the input). It clears
+the pivot's row and column with exact quotients or Bezout steps whose
+cofactors are balanced (|x| <= |b/g|/2), then adds a row to the pivot row
+until the pivot divides the rest of the block. Every row operation is also
+applied to the rows of a transform that the caller passes, and every
+transpose of the block swaps the row-side and column-side transforms.
 
-``smith_invariants`` returns only the nonzero Smith diagonal and builds no
-transforms. It serves ``cokernel_group``, ``rank`` and ``kernel_rank``: it
-drops zero rows and columns, eliminates with ``math.gcd`` Bezout steps until
-at most two rows or two columns are left, and finishes that block from its
+``snf`` passes identity transforms and returns them as witnesses
+(``U @ M @ V == S``); only callers that use the transforms need it: the CLI
+``snf`` command and ``GradedAction.inverse``. A negative pivot is made
+positive by negating its row of ``U``, so the signs go into ``U``.
+``smith_invariants`` passes zero-width transforms and returns only the
+nonzero Smith diagonal. It serves ``cokernel_group``, ``rank`` and
+``kernel_rank``: it drops zero rows and columns before each pivot, and
+finishes once at most two rows or two columns are left, from the block's
 determinantal divisors (gcd of the entries, gcd of the 2x2 minors).
 
 Determinants use fraction-free (Bareiss) elimination, exact at every step with
@@ -250,37 +255,6 @@ class AbelianGroup(Frozen):
         return "+".join(parts) if parts else "0"
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # Returns (x, y, g) with x*a + y*b == g == gcd(a, b) > 0.
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _min_abs_position(s: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
-    best = None
-    best_val = 0
-    for i in range(t, nr):
-        for j in range(t, nc):
-            e = s[i][j]
-            if e != 0 and (best is None or abs(e) < best_val):
-                best = (i, j)
-                best_val = abs(e)
-    return best
-
-
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form of an integer matrix of any shape.
 
@@ -289,93 +263,27 @@ def snf(m: IntMatrix) -> SnfResult:
     entry dividing the next. Empty matrices pass through (their transforms
     are empty or identity as the shape dictates).
     """
-    nr, nc = m.rows, m.cols
-    s = m.to_rows()
-    u = _identity_rows(nr)
-    v = _identity_rows(nc)
-
-    def combine_rows(r0: int, r1: int, a: int, b: int) -> None:
-        # Unimodular op on rows r0, r1 clearing s[r1][col] given pivot s[r0][col].
-        x, y, g = _xgcd(a, b)
-        ag, mbg = a // g, -(b // g)
-        for mat in (s, u):
-            row0, row1 = mat[r0], mat[r1]
-            for jj in range(len(row0)):
-                p, q = row0[jj], row1[jj]
-                row0[jj] = x * p + y * q
-                row1[jj] = mbg * p + ag * q
-
-    def combine_cols(c0: int, c1: int, a: int, b: int) -> None:
-        x, y, g = _xgcd(a, b)
-        ag, mbg = a // g, -(b // g)
-        for mat in (s, v):
-            for row in mat:
-                p, q = row[c0], row[c1]
-                row[c0] = x * p + y * q
-                row[c1] = mbg * p + ag * q
-
-    t = 0
-    while t < min(nr, nc):
-        if _min_abs_position(s, t, nr, nc) is None:
-            break
-        while True:
-            pi, pj = _min_abs_position(s, t, nr, nc)
-            if pi != t:
-                s[t], s[pi] = s[pi], s[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for row in s:
-                    row[t], row[pj] = row[pj], row[t]
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
-            for i in range(t + 1, nr):
-                a, b = s[t][t], s[i][t]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for jj in range(nc):
-                        s[i][jj] -= q * s[t][jj]
-                    for jj in range(nr):
-                        u[i][jj] -= q * u[t][jj]
-                else:
-                    combine_rows(t, i, a, b)
-            for j in range(t + 1, nc):
-                a, b = s[t][t], s[t][j]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for row in s:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                else:
-                    combine_cols(t, j, a, b)
-            if any(s[i][t] for i in range(t + 1, nr)):
-                continue  # column ops disturbed the cleared column
-            # Pivot must divide the rest of the submatrix for the divisor chain.
-            p = s[t][t]
-            stray = next(
-                ((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc) if s[i][j] % p),
-                None,
-            )
-            if stray is None:
-                break
-            i = stray[0]
-            for jj in range(nc):
-                s[t][jj] += s[i][jj]
-            for jj in range(nr):
-                u[t][jj] += u[i][jj]
-        if s[t][t] < 0:
-            s[t] = [-e for e in s[t]]
-            u[t] = [-e for e in u[t]]
-        t += 1
-
+    block = m.to_rows()
+    u, vt = IntMatrix.identity(m.rows).to_rows(), IntMatrix.identity(m.cols).to_rows()
+    sides = [u, vt]
+    diag: list[int] = []
+    done_u: list[list[int]] = []
+    done_vt: list[list[int]] = []
+    while any(map(any, block)):
+        diag.append(_eliminate_pivot(block, sides))
+        # u[0] is the pivot's row of U whichever way the block now lies
+        if block[0][0] < 0:
+            u[0] = [-e for e in u[0]]
+        done_u.append(u.pop(0))
+        done_vt.append(vt.pop(0))
+        block = [r[1:] for r in block[1:]]
+    s = [[0] * m.cols for _ in range(m.rows)]
+    for t, d in enumerate(diag):
+        s[t][t] = d
     result = SnfResult(
-        IntMatrix.from_rows(u, cols=nr),
-        IntMatrix.from_rows(s, cols=nc),
-        IntMatrix.from_rows(v, cols=nc),
+        IntMatrix.from_rows(done_u + u, cols=m.rows),
+        IntMatrix.from_rows(s, cols=m.cols),
+        IntMatrix.from_rows(done_vt + vt, cols=m.cols).transpose(),
     )
     _check_smith_shape(result.S)
     return result
@@ -416,7 +324,7 @@ def smith_invariants(m: IntMatrix) -> list[int]:
         block = [list(c) for c in zip(*(r for r in block if any(r))) if any(c)]
         if len(block) <= 2 or len(block[0]) <= 2:
             break
-        out.append(_eliminate_pivot(block))
+        out.append(_eliminate_pivot(block, [[[] for _ in block], [[] for _ in block[0]]]))
         block = [r[1:] for r in block[1:]]
     out.extend(_determinantal_invariants(block))
     _check_invariants(out, m)
@@ -424,48 +332,62 @@ def smith_invariants(m: IntMatrix) -> list[int]:
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    # (x, y, g) with x*a + y*b == g == gcd(a, b) > 0, for a, b nonzero.
+    # (x, y, g) with x*a + y*b == g == gcd(a, b) > 0 and |x| <= |b/g|/2,
+    # for a, b nonzero; the balanced cofactor keeps the combined rows small.
     g = gcd(a, b)
-    x = pow(a // g, -1, abs(b // g))
+    n = abs(b // g)
+    x = pow(a // g, -1, n)
+    if 2 * x > n:
+        x -= n
     return x, (g - x * a) // b, g
 
 
-def _eliminate_pivot(block: list[list[int]]) -> int:
+def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> int:
     """Clear the first row and column around the smallest entry, return |pivot|.
 
-    Works in place and may leave the block transposed. On return the pivot
-    divides every other entry of the block.
+    ``sides`` holds two lists of rows, aligned with the block's rows and with
+    its columns; each row operation on the block is applied to ``sides[0]``,
+    and each transpose of the block reverses ``sides``. Works in place and may
+    leave the block transposed. On return the pivot divides every other entry
+    of the block.
     """
     pi, pj = min(
         ((i, j) for i, r in enumerate(block) for j, e in enumerate(r) if e),
         key=lambda ij: abs(block[ij[0]][ij[1]]),
     )
+    rows, cols = sides
     block[0], block[pi] = block[pi], block[0]
+    rows[0], rows[pi] = rows[pi], rows[0]
     for r in block:
         r[0], r[pj] = r[pj], r[0]
+    cols[0], cols[pj] = cols[pj], cols[0]
     while True:
         # row steps clear column 0; the transpose then turns row 0 into column 0
         for i in range(1, len(block)):
             a, b = block[0][0], block[i][0]
             if b == 0:
                 continue
-            top, row = block[0], block[i]
             if b % a == 0:
                 q = b // a
-                block[i] = [y - q * x for x, y in zip(top, row)]
+                for mat in (block, sides[0]):
+                    mat[i] = [y - q * x for x, y in zip(mat[0], mat[i])]
             else:
                 x, y, g = _bezout(a, b)
                 ag, bg = a // g, b // g
-                block[0] = [x * p + y * q for p, q in zip(top, row)]
-                block[i] = [ag * q - bg * p for p, q in zip(top, row)]
+                for mat in (block, sides[0]):
+                    top, row = mat[0], mat[i]
+                    mat[0] = [x * p + y * q for p, q in zip(top, row)]
+                    mat[i] = [ag * q - bg * p for p, q in zip(top, row)]
         block[:] = [list(c) for c in zip(*block)]
+        sides.reverse()
         if any(r[0] for r in block[1:]):
             continue
         p = block[0][0]
-        stray = next((r for r in block[1:] if any(e % p for e in r)), None)
+        stray = next((i for i in range(1, len(block)) if any(e % p for e in block[i])), None)
         if stray is None:
             return abs(p)
-        block[0] = [x + y for x, y in zip(block[0], stray)]
+        for mat in (block, sides[0]):
+            mat[0] = [x + y for x, y in zip(mat[0], mat[stray])]
 
 
 def _determinantal_invariants(block: list[list[int]]) -> list[int]:
@@ -560,7 +482,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     if not a.is_square:
         raise ValueError("matrix power needs a square matrix")
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
     if k == 0:
         return IntMatrix.identity(a.rows)

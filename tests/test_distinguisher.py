@@ -52,6 +52,11 @@ class TestTorsionClosedForm:
         with pytest.raises(ValueError):
             torsion_closed_form(IntMatrix.identity(3), 1)
 
+    @pytest.mark.parametrize("k", [-1, True])
+    def test_exponent_checked(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            torsion_closed_form(EVEN_GENERATOR, k)
+
     def test_exponential_growth(self):
         values = [torsion_closed_form(EVEN_GENERATOR, k) for k in range(1, 31)]
         for k in range(2, 30):

@@ -9,6 +9,7 @@ run time.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -172,7 +173,10 @@ class TestSmithInvariants:
         seen_big = seen_deficient = 0
         for _ in range(60):
             for m in _invariant_cases(rng):
-                expected = [d for d in smith_diagonal(snf(m).S) if d]
+                u, s, v = snf(m)
+                assert mat_mul(mat_mul(u, m), v) == s
+                assert abs(det(u)) == 1 and abs(det(v)) == 1
+                expected = [d for d in smith_diagonal(s) if d]
                 assert smith_invariants(m) == expected
                 seen_big += any(e.bit_length() > 1000 for e in m.entries)
                 seen_deficient += len(expected) < min(m.rows, m.cols)
@@ -189,6 +193,15 @@ class TestSmithInvariants:
                     continue
                 factors = invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
                 assert smith_invariants(m) == [abs(int(d)) for d in factors if d]
+
+    def test_bezout_cofactor_is_balanced(self):
+        rng = random.Random(20261021)
+        for _ in range(400):
+            span = rng.choice((9, 10**6, 2**1100))
+            a, b = rng.randint(-span, span) or 1, rng.randint(-span, span) or -1
+            x, y, g = exact_linalg._bezout(a, b)
+            assert x * a + y * b == g == gcd(a, b)
+            assert 2 * abs(x) <= abs(b // g)
 
     @pytest.mark.parametrize("bad, message", [
         ([0], "not positive"),
@@ -287,8 +300,9 @@ class TestProducts:
             mat_mul(IntMatrix.zero(2, 3), IntMatrix.zero(2, 3))
 
     def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            mat_pow(IntMatrix.identity(2), -1)
+        for k in (-1, True):
+            with pytest.raises(ValueError):
+                mat_pow(IntMatrix.identity(2), k)
 
     def test_empty_product(self):
         assert mat_mul(IntMatrix.zero(2, 0), IntMatrix.zero(0, 3)) == IntMatrix.zero(2, 3)

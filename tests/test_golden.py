@@ -7,7 +7,10 @@ was captured before the cokernels moved from ``snf`` to ``smith_invariants``,
 ``fillings-a8-chain-coxeter.*`` before the identity blocks of D_k were
 dropped and the graph was validated once per word, and
 ``fillings-n5-1pt-t1t2-k7.*`` before the family stopped rebuilding the
-degrees phi^k leaves fixed.
+degrees phi^k leaves fixed. The ``snf-*`` files were captured after ``snf``
+moved onto the elimination step ``smith_invariants`` uses: S is unique, but
+U and V are one valid pair among many and changed with that move, so they
+pin the transforms as computed since then.
 Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
 tests/golden/<name>`` only when an output is meant to change.
 """
@@ -34,6 +37,10 @@ COMMANDS = {
     # phi of order 6: H5 vanishes at k = 1, 5, 7 and turns free at k = 6 (H6 Z^2 -> Z^4)
     "fillings-n5-1pt-t1t2-k7":
         ["fillings", "--preset", "a2-1pt-n5", "--word", "t1 t2", "--kmax", "7"],
+    "snf-readme": ["snf", "--matrix", "[[0,-3],[0,0]]"],
+    # rank 3: the last row is r0 + 2 r1 - r2
+    "snf-4x5-rank3":
+        ["snf", "--matrix", "[[-2,3,3,0,2],[-2,2,2,0,-2],[4,4,0,5,-4],[-10,3,7,-5,2]]"],
 }
 CASES = {
     f"{name}.{fmt}": [*argv, "--format", fmt]
