@@ -40,7 +40,7 @@ class Representation(Frozen):
 
     def __init__(self, genus: int, assignments: Iterable[GradedAction]):
         assignments = tuple(assignments)
-        if not isinstance(genus, int) or genus < 1:
+        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
             raise ValueError(f"genus must be an integer >= 1, got {genus!r}")
         if len(assignments) != 2 * genus:
             raise ValueError(

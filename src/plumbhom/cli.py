@@ -183,20 +183,14 @@ def _cmd_homology(args) -> int:
 
 def _cmd_twist(args) -> int:
     graph = _load_graph(args)
-    action = word_action(graph, parse_word(args.word))
+    # a word acts in exactly one degree
+    (degree, matrix), = word_action(graph, parse_word(args.word)).items()
     if args.format == "table":
-        items = action.items()
-        if len(items) == 1:
-            _write(format_matrix(items[0][1]) + "\n", args.out)
-        else:
-            _write("".join(f"degree {k}: {format_matrix(m)}\n" for k, m in items), args.out)
+        _write(format_matrix(matrix) + "\n", args.out)
     elif args.format == "csv":
-        _write("".join(_matrix_csv(m) for _, m in action.items()), args.out)
+        _write(_matrix_csv(matrix), args.out)
     else:
-        payload = {
-            "word": args.word,
-            "degrees": [{"degree": k, "matrix": m.to_rows()} for k, m in action.items()],
-        }
+        payload = {"word": args.word, "degrees": [{"degree": degree, "matrix": matrix.to_rows()}]}
         _write(_json_dumps(payload), args.out)
     return 0
 

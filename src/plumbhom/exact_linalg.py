@@ -18,7 +18,8 @@ transpose of the block swaps the row-side and column-side transforms.
 
 ``snf`` passes identity transforms and returns them as witnesses
 (``U @ M @ V == S``); only callers that use the transforms need it: the CLI
-``snf`` command and ``GradedAction.inverse``. A negative pivot is made
+``snf`` command and ``GradedAction.inverse`` (dimension-1 letters with
+negative exponents, genus >= 2 boundary checks). A negative pivot is made
 positive by negating its row of ``U``, so the signs go into ``U``.
 ``smith_invariants`` passes zero-width transforms and returns only the
 nonzero Smith diagonal. It serves ``cokernel_group``, ``rank`` and
@@ -218,7 +219,7 @@ class AbelianGroup(Frozen):
 
     def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
         factors = tuple(invariant_factors)
-        if not isinstance(free_rank, int) or free_rank < 0:
+        if not isinstance(free_rank, int) or isinstance(free_rank, bool) or free_rank < 0:
             raise ValueError(f"free rank must be a nonnegative integer, got {free_rank!r}")
         for d in factors:
             if not isinstance(d, int) or d < 2:
@@ -277,32 +278,15 @@ def snf(m: IntMatrix) -> SnfResult:
         done_u.append(u.pop(0))
         done_vt.append(vt.pop(0))
         block = [r[1:] for r in block[1:]]
+    _check_invariants(diag, m)
     s = [[0] * m.cols for _ in range(m.rows)]
     for t, d in enumerate(diag):
         s[t][t] = d
-    result = SnfResult(
+    return SnfResult(
         IntMatrix.from_rows(done_u + u, cols=m.rows),
         IntMatrix.from_rows(s, cols=m.cols),
         IntMatrix.from_rows(done_vt + vt, cols=m.cols).transpose(),
     )
-    _check_smith_shape(result.S)
-    return result
-
-
-def _check_smith_shape(s: IntMatrix) -> None:
-    diag = smith_diagonal(s)
-    for i in range(s.rows):
-        for j in range(s.cols):
-            if i != j and s.entry(i, j) != 0:
-                raise RuntimeError("Smith form has an off-diagonal entry")
-    for d in diag:
-        if d < 0:
-            raise RuntimeError("Smith form has a negative diagonal entry")
-    for a, b in zip(diag, diag[1:]):
-        if a == 0 and b != 0:
-            raise RuntimeError("zero precedes a nonzero Smith entry")
-        if a != 0 and b % a != 0:
-            raise RuntimeError("Smith diagonal is not a divisor chain")
 
 
 def smith_diagonal(s: IntMatrix) -> list[int]:
@@ -484,20 +468,13 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
         raise ValueError("matrix power needs a square matrix")
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    if k == 0:
-        return IntMatrix.identity(a.rows)
-    # Start from the lowest set bit of k, so no product with I is formed.
-    base = a
-    while not k & 1:
-        base = mat_mul(base, base)
-        k >>= 1
-    result = base
-    k >>= 1
+    result, base = IntMatrix.identity(a.rows), a
     while k:
-        base = mat_mul(base, base)
         if k & 1:
             result = mat_mul(result, base)
         k >>= 1
+        if k:
+            base = mat_mul(base, base)
     return result
 
 
@@ -515,7 +492,7 @@ def parse_matrix(text: str) -> IntMatrix:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad matrix literal: {exc}") from None
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix literal must be a bracketed list of rows")

@@ -64,7 +64,7 @@ class GradedGroup:
     def __init__(self, groups: Mapping[int, AbelianGroup]):
         cleaned: dict[int, AbelianGroup] = {}
         for k in sorted(groups):
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"degrees must be nonnegative integers, got {k!r}")
             g = groups[k]
             if not g.is_trivial():
@@ -110,8 +110,9 @@ class GradedGroup:
 def validate(graph: PlumbingGraph) -> list[str]:
     """Check the graph invariants; returns a list of violations (empty = ok)."""
     errors: list[str] = []
-    if not isinstance(graph.dimension, int) or graph.dimension < 1:
-        errors.append(f"dimension must be an integer >= 1, got {graph.dimension!r}")
+    dimension = graph.dimension
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
+        errors.append(f"dimension must be an integer >= 1, got {dimension!r}")
     if not graph.vertices:
         errors.append("empty vertex list")
     seen: set[str] = set()
@@ -297,6 +298,6 @@ def parse_graph(text: str) -> PlumbingGraph:
 
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"bad graph document: {exc}") from None
     return graph_from_json(data)

@@ -11,6 +11,12 @@ the plumbing graph. Words in the twists compose like functions: the word
 matrix is the product T1 @ T2 in the vertex-order basis (columns are images of
 basis vectors).
 
+In that basis the twist along sphere v is T = I + s e_v f^T, with s the sign
+above and f column v of the form. N = e_v f^T has N^2 = f_v N, f_v = <L, L>:
+for odd n the form is antisymmetric, so N^2 = 0 and T^e = I + e s N for every
+integer e; for even n, f_v = -2s, so T^2 = I and T^e = T^(e mod 2). A letter
+t^e therefore costs no more than t: no power, inverse or product is formed.
+
 Dimension-1 graphs have no derived intersection data; their degree-1 actions
 come from ``h1_actions`` entries on the graph (the ``a2-3pt-n1`` preset in
 ``presets`` carries one for t1).
@@ -78,7 +84,7 @@ class GradedAction:
     def __init__(self, degree_maps: Mapping[int, IntMatrix]):
         cleaned: dict[int, IntMatrix] = {}
         for k in sorted(degree_maps):
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"degrees must be nonnegative integers, got {k!r}")
             m = degree_maps[k]
             if not isinstance(m, IntMatrix) or not m.is_square:
@@ -178,51 +184,53 @@ def twist_matrix(graph: PlumbingGraph, vertex: str) -> GradedAction:
     reflection image of the i-th sphere class. For dimension 1 the matrix is
     looked up from the graph's ``h1_actions`` (see module docstring).
     """
-    ensure_valid(graph)
-    form = _intersection_form(graph) if graph.dimension >= 2 else None
-    return _twist(graph, form, vertex)
-
-
-def _twist(graph: PlumbingGraph, form: IntMatrix | None, vertex: str) -> GradedAction:
-    # graph already validated; form is its intersection form (None in dimension 1)
-    if vertex not in graph.vertices:
-        raise ValueError(f"unknown vertex {vertex!r}")
-    n = graph.dimension
-    if n == 1:
-        stored = graph.h1_action(vertex)
-        if stored is None:
-            raise ValueError(
-                f"dimension-1 twist action for {vertex!r} is not derived from the graph; "
-                "use the built-in preset or an h1_action entry in the graph file"
-            )
-        return GradedAction({1: stored})
-    sign = (-1) ** ((n + 1) * (n + 2) // 2)
-    v = graph.vertices.index(vertex)
-    size = len(graph.vertices)
-    rows = [
-        [(1 if r == i else 0) + (sign * form.entry(i, v) if r == v else 0) for i in range(size)]
-        for r in range(size)
-    ]
-    return GradedAction({n: IntMatrix.from_rows(rows, cols=size)})
+    return _word_action(graph, ((vertex, 1),))
 
 
 def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     """Composite action of a twist word, leftmost letter applied last.
 
-    The graph is validated and its intersection form built once for the
-    whole word. Negative exponents use the exact integer inverse of the twist
-    matrix.
+    The graph is validated and its intersection form built once per word.
+    For n >= 2 the product starts from I and takes each letter t^e in closed
+    form (module docstring), as a rank-one update of the rows with a nonzero
+    entry in column t. Dimension-1 letters are stored matrices, which may be
+    any unimodular matrix, so they go through ``GradedAction.power`` and
+    ``compose``.
     """
+    return _word_action(graph, word.letters)
+
+
+def _word_action(graph: PlumbingGraph, letters: tuple[tuple[str, int], ...]) -> GradedAction:
     ensure_valid(graph)
     n = graph.dimension
-    form = _intersection_form(graph) if n >= 2 else None
-    degree = n if n >= 2 else 1
-    size = len(graph.vertices) if n >= 2 else graph.edge_count + 1
-    acc = None
-    cache: dict[str, GradedAction] = {}
-    for label, exp in word.letters:
-        if label not in cache:
-            cache[label] = _twist(graph, form, label)
-        step = cache[label].power(exp)
-        acc = step if acc is None else acc.compose(step)
-    return acc if acc is not None else GradedAction({degree: IntMatrix.identity(size)})
+    index = {label: i for i, label in enumerate(graph.vertices)}
+    size = len(index) if n > 1 else graph.edge_count + 1
+    form = _intersection_form(graph) if n > 1 else None
+    sign = (-1) ** ((n + 1) * (n + 2) // 2)
+    rows = IntMatrix.identity(size).to_rows()
+    acc = IDENTITY_ACTION  # dimension 1 only; compose returns its first letter as it is
+    for label, exp in letters:
+        v = index.get(label)
+        if v is None:
+            raise ValueError(f"unknown vertex {label!r}")
+        if n == 1:
+            stored = graph.h1_action(label)
+            if stored is None:
+                raise ValueError(
+                    f"dimension-1 twist action for {label!r} is not derived from the graph; "
+                    "use the built-in preset or an h1_action entry in the graph file"
+                )
+            step = GradedAction({1: stored})
+            acc = acc.compose(step if exp == 1 else step.power(exp))
+            continue
+        # T^e = I + c e_v f^T with f column v of the form, so row r gains c r[v] f
+        c = sign * (exp if n % 2 else exp % 2)
+        update = [(j, c * f) for j, f in enumerate(form.entries[v::size]) if f]
+        for r in rows:
+            t = r[v]
+            if t:
+                for j, cf in update:
+                    r[j] += t * cf
+    if acc.degrees():
+        return acc
+    return GradedAction({n: IntMatrix._unchecked(size, size, tuple([e for r in rows for e in r]))})

@@ -10,13 +10,43 @@ from pathlib import Path
 
 import pytest
 
+import plumbhom.exact_linalg as exact_linalg
 from plumbhom.cli import run
+from plumbhom.exact_linalg import IntMatrix, snf
 
 A2_N3_DOC = {
     "dimension": 3,
     "vertices": ["L1", "L2"],
     "edges": [{"between": ["L1", "L2"], "sign": 1}] * 3,
 }
+
+
+def _doc(**changes):
+    # A2_N3_DOC as JSON text with some keys replaced; a value of None drops the key
+    return json.dumps({k: v for k, v in dict(A2_N3_DOC, **changes).items() if v is not None})
+
+
+_H1_DOC = {"dimension": 1, "vertices": ["L1", "L2"], "edges": A2_N3_DOC["edges"]}
+# graph file text -> the one message it must produce, exactly
+MALFORMED = [
+    (_doc(h1_action={"L1": [1, 2]}, dimension=1),
+     "h1_action for 'L1' must be a matrix (list of rows)"),
+    (_doc(edges=[{"between": ["L1", "L2"], "sign": 1.0}]), "edge sign must be 1 or -1"),
+    ("[1, 2]", "graph document must be a JSON object"),
+    (_doc(edges=None), "graph document is missing 'edges'"),
+    (_doc(dimension="3"), "dimension must be an integer"),
+    (_doc(dimension=True), "dimension must be an integer"),
+    (_doc(vertices=["L1", 2]), "vertices must be a list of labels"),
+    (_doc(edges={}), "edges must be a list"),
+    (_doc(edges=[{"between": ["L1"], "sign": 1}]),
+     'edge "between" must be a pair of vertex labels'),
+    (_doc(dimension=1, h1_action=[]), "h1_action must map vertex labels to matrices"),
+    (_doc(vertices=["L1", "L2", "L1"]), "invalid plumbing graph: duplicate vertex label 'L1'"),
+    (_doc(**_H1_DOC, h1_action={"L3": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+     "invalid plumbing graph: h1_action for unknown vertex 'L3'"),
+    (_doc(**_H1_DOC, h1_action={"L1": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+     "invalid plumbing graph: h1_action for 'L1' is not unimodular"),
+]
 
 
 def invoke(capsys, *argv):
@@ -73,6 +103,29 @@ class TestSnf:
         ]
         assert prod == payload["S"]
 
+    def test_deeply_nested_literal_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, "snf", "--matrix", "[" * 100_000 + "]" * 100_000)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad matrix literal: ") and err.count("\n") == 1
+
+    def test_broken_divisor_chain_is_internal_error(self, capsys, monkeypatch):
+        # the real pivot step, with its second pivot made to break the chain
+        real = exact_linalg._eliminate_pivot
+        pivots = []
+
+        def off_by_one(block, sides):
+            pivots.append(real(block, sides))
+            return pivots[-1] + 1 if len(pivots) == 2 else pivots[-1]
+
+        monkeypatch.setattr(exact_linalg, "_eliminate_pivot", off_by_one)
+        with pytest.raises(RuntimeError, match="not a divisor chain"):
+            snf(IntMatrix.from_rows([[2, 0], [0, 4]]))
+        assert pivots == [2, 4]
+        pivots.clear()
+        code, out, err = invoke(capsys, "snf", "--matrix", "[[2,0],[0,4]]")
+        assert (code, out) == (2, "")
+        assert err == "internal error: Smith invariants are not a divisor chain\n"
+
     def test_bad_literal_is_input_error(self, capsys):
         code, _, err = invoke(capsys, "snf", "--matrix", "[[1,2],[3]]")
         assert code == 1
@@ -117,20 +170,32 @@ class TestValidate:
         assert code2 == 0
         assert out2 == out
 
-    @pytest.mark.parametrize("bad", [
-        {"h1_action": {"L1": [1, 2]}, "dimension": 1},
-        {"edges": [{"between": ["L1", "L2"], "sign": 1.0}]},
-    ])
+    @pytest.mark.parametrize(
+        "bad", [pytest.param(case, id=f"bad{i}") for i, case in enumerate(MALFORMED)]
+    )
     def test_malformed_values_are_input_errors(self, capsys, tmp_path, bad):
+        text, message = bad
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(dict(A2_N3_DOC, **bad)))
+        path.write_text(text)
         code, out, _ = invoke(capsys, "validate", "--graph", str(path), "--format", "json")
         assert code == 1
-        assert json.loads(out)["ok"] is False
+        assert json.loads(out) == {"ok": False, "errors": [message]}
         code, out, _ = invoke(capsys, "validate", "--graph", str(path), "--emit")
-        assert (code, out.startswith("error: ")) == (1, True)
+        assert (code, out) == (1, f"error: {message}\n")
         code, _, err = invoke(capsys, "twist", "--graph", str(path), "--word", "L1")
-        assert (code, err.startswith("error: ")) == (1, True)
+        assert (code, err) == (1, f"error: {message}\n")
+
+    def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = invoke(capsys, "validate", "--graph", str(path))
+        assert (code, err) == (1, "")
+        assert out.startswith("error: bad graph document: ") and out.count("\n") == 1
+        code, out, _ = invoke(capsys, "validate", "--graph", str(path), "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["errors"][0].startswith("bad graph document: ")
 
     def test_missing_file(self, capsys):
         code, out, _ = invoke(capsys, "validate", "--graph", "/nonexistent/g.json")

@@ -10,7 +10,9 @@ dropped and the graph was validated once per word, and
 degrees phi^k leaves fixed. The ``snf-*`` files were captured after ``snf``
 moved onto the elimination step ``smith_invariants`` uses: S is unique, but
 U and V are one valid pair among many and changed with that move, so they
-pin the transforms as computed since then.
+pin the transforms as computed since then. The ``form-*``, ``homology-*`` and
+``validate-*`` files were captured before twist words moved to their closed
+form; before them no test ran ``form`` in csv or json.
 Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
 tests/golden/<name>`` only when an output is meant to change.
 """
@@ -38,6 +40,10 @@ COMMANDS = {
     "fillings-n5-1pt-t1t2-k7":
         ["fillings", "--preset", "a2-1pt-n5", "--word", "t1 t2", "--kmax", "7"],
     "snf-readme": ["snf", "--matrix", "[[0,-3],[0,0]]"],
+    "form-n3": ["form", "--preset", "a2-3pt-n3"],
+    "homology-n3": ["homology", "--preset", "a2-3pt-n3"],
+    # dimension 1: sphere and arc classes merge into H_1 = Z^(E + 1)
+    "homology-n1": ["homology", "--preset", "a2-3pt-n1"],
     # rank 3: the last row is r0 + 2 r1 - r2
     "snf-4x5-rank3":
         ["snf", "--matrix", "[[-2,3,3,0,2],[-2,2,2,0,-2],[4,4,0,5,-4],[-10,3,7,-5,2]]"],
@@ -51,6 +57,9 @@ CASES = {
 CASES["fillings-n2-t1t2-k40.csv"] = [
     "fillings", "--preset", "a2-3pt-n2", "--word", "t1 t2", "--kmax", "40", "--format", "csv",
 ]
+# --emit writes the canonical graph JSON whatever --format says
+CASES["validate-n1-emit.json"] = ["validate", "--preset", "a2-3pt-n1", "--emit"]
+CASES["validate-n3.json"] = ["validate", "--preset", "a2-3pt-n3", "--format", "json"]
 # a graph file: the A_8 chain in dimension 3 with its Coxeter word (8x8 products)
 for fmt in ("table", "csv", "json"):
     CASES[f"fillings-a8-chain-coxeter.{fmt}"] = [

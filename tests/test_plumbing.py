@@ -52,6 +52,11 @@ class TestValidate:
         graph = PlumbingGraph(3, ("a", "b"), ())
         assert any("disconnected" in e for e in validate(graph))
 
+    def test_bad_dimension(self):
+        for dimension in (0, 1.0, True):
+            graph = PlumbingGraph(dimension, ("a",), ())
+            assert validate(graph) == [f"dimension must be an integer >= 1, got {dimension!r}"]
+
     def test_self_loop(self):
         graph = PlumbingGraph(3, ("a",), (("a", "a", 1),))
         assert any("self-loop" in e for e in validate(graph))
@@ -158,8 +163,9 @@ class TestGradedGroup:
         assert graded.group(5) == AbelianGroup(0)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            GradedGroup({-1: AbelianGroup(1)})
+        for degree in (-1, True):
+            with pytest.raises(ValueError, match=f"got {degree!r}$"):
+                GradedGroup({degree: AbelianGroup(1)})
 
     def test_equality_ignores_insertion_order(self):
         a = GradedGroup({0: AbelianGroup(1), 3: AbelianGroup(2)})

@@ -121,7 +121,7 @@ class TestWordAction:
                 assert abs(cofactor_det(m.to_rows())) == 1
 
     def test_no_products_with_the_identity(self, monkeypatch):
-        # A_20 Coxeter word: one product per letter boundary, none with I
+        # A_20 Coxeter word: each letter is a rank-one update, no product at all
         labels = tuple(f"v{i}" for i in range(20))
         graph = PlumbingGraph(3, labels, tuple((a, b, 1) for a, b in zip(labels, labels[1:])))
         calls = []
@@ -133,12 +133,45 @@ class TestWordAction:
         monkeypatch.setattr(exact_linalg, "mat_mul", counting)
         monkeypatch.setattr(twist_engine, "mat_mul", counting)
         action = word_action(graph, parse_word(" ".join(labels)))
-        assert len(calls) == 19
+        assert calls == []
         monkeypatch.undo()
         expected = IntMatrix.identity(20)
         for label in labels:
             expected = mat_mul(expected, twist_matrix(graph, label).matrix(3))
         assert action.matrix(3) == expected
+
+    def test_closed_form_takes_no_general_matrix_route(self, monkeypatch):
+        # words in dimensions 2-7, exponents +-1..+-5, against the product of
+        # GradedAction.power of one-letter reflections built here from the form
+        rng = random.Random(20261018)
+        cases = []
+        for dimension in range(2, 8):
+            for _ in range(10):
+                graph = random_graph(rng, dimensions=(dimension,))
+                letters = tuple(
+                    (rng.choice(graph.vertices), rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+                    for _ in range(rng.randint(1, 6))
+                )
+                expected = IDENTITY_ACTION
+                for label, exp in letters:
+                    expected = expected.compose(_reflection(graph, label).power(exp))
+                cases.append((graph, TwistWord(letters), expected))
+        assert {e for _, word, _ in cases for _, e in word.letters} == {-5, -4, -3, -2, -1,
+                                                                          1, 2, 3, 4, 5}
+
+        def refuse(*args):
+            raise AssertionError("general matrix route taken")
+
+        for owner, name in ((exact_linalg, "snf"), (exact_linalg, "mat_pow"),
+                            (exact_linalg, "mat_mul"), (twist_engine, "snf"),
+                            (twist_engine, "mat_pow"), (twist_engine, "mat_mul"),
+                            (GradedAction, "power"), (GradedAction, "inverse")):
+            monkeypatch.setattr(owner, name, refuse)
+        for graph, word, expected in cases:
+            n = graph.dimension
+            assert word_action(graph, word).matrix(n) == expected.matrix(n, len(graph.vertices))
+            for label in graph.vertices:
+                assert twist_matrix(graph, label).matrix(n) == _reflection(graph, label).matrix(n)
 
     def test_graph_validated_once_per_word(self, monkeypatch):
         labels = tuple(f"v{i}" for i in range(20))
@@ -169,6 +202,18 @@ class TestWordAction:
                 [i + k * d for i, d in zip(IntMatrix.identity(t.rows).entries, n.entries)],
             )
             assert power == expected
+
+
+def _reflection(graph, vertex):
+    # Picard-Lefschetz: column i of T is e_i + s <e_i, L> L, with L = e_v
+    n = graph.dimension
+    q = intersection_form(graph)
+    v = graph.vertices.index(vertex)
+    size = q.rows
+    s = (-1) ** ((n + 1) * (n + 2) // 2)
+    rows = [[int(i == j) + (s * q.entry(j, v) if i == v else 0) for j in range(size)]
+            for i in range(size)]
+    return GradedAction({n: IntMatrix.from_rows(rows)})
 
 
 class TestPresetAction:
@@ -245,6 +290,11 @@ class TestGradedAction:
         b = GradedAction({3: IntMatrix.identity(3)})
         with pytest.raises(ValueError, match="size mismatch"):
             a.compose(b)
+
+    def test_degrees_checked(self):
+        for degree in (-1, True):
+            with pytest.raises(ValueError, match=f"got {degree!r}$"):
+                GradedAction({degree: IntMatrix.identity(1)})
 
     def test_inverse_requires_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):

@@ -191,6 +191,7 @@ def test_normalisation_makes_tuples():
 @pytest.mark.parametrize("build, message", [
     (lambda: AbelianGroup(-1), "free rank must be a nonnegative integer, got -1"),
     (lambda: AbelianGroup(1.0), "free rank must be a nonnegative integer, got 1.0"),
+    (lambda: AbelianGroup(True), "free rank must be a nonnegative integer, got True"),
     (lambda: AbelianGroup(0, (1,)), "invariant factors must be integers >= 2, got 1"),
     (lambda: AbelianGroup(0, (2.0,)), "invariant factors must be integers >= 2, got 2.0"),
     (lambda: AbelianGroup(0, [2, 3]), "invariant factors must form a divisor chain, got (2, 3)"),
@@ -200,6 +201,7 @@ def test_normalisation_makes_tuples():
     (lambda: TwistWord([("t1", 1.5)]), "word exponents must be nonzero integers, got 1.5"),
     (lambda: Representation(0, ()), "genus must be an integer >= 1, got 0"),
     (lambda: Representation("1", ()), "genus must be an integer >= 1, got '1'"),
+    (lambda: Representation(True, [SPIN] * 2), "genus must be an integer >= 1, got True"),
     (lambda: Representation(2, [SPIN] * 3), "expected 4 assignments for genus 2, got 3"),
 ])
 def test_validation_messages(build, message):
