@@ -2,7 +2,7 @@
 
 Subcommands: validate, form, homology, twist, torus, fillings, snf. Output is
 byte-deterministic for a fixed invocation. Exit codes: 0 success, 1 input
-error, 2 internal invariant violation.
+error or a failed write (to stdout or --out), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .plumbing import (
     graph_to_json,
     intersection_form,
     parse_graph,
-    validate,
 )
 from .presets import graph_preset
 from .twist_engine import parse_word, word_action
@@ -82,12 +81,13 @@ def _load_graph(args) -> PlumbingGraph:
 
 
 def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
 
@@ -108,99 +108,69 @@ def _graded_rows(graded: GradedGroup) -> list[dict]:
     return [{"degree": k, **_group_json(g)} for k, g in graded.items()]
 
 
-def _graded_table(graded: GradedGroup) -> str:
-    return "".join(f"H_{k} = {g}\n" for k, g in graded.items())
-
-
-def _graded_csv(graded: GradedGroup) -> str:
-    lines = ["degree,rank,invariant_factors"]
-    for k, g in graded.items():
-        lines.append(f"{k},{g.free_rank},{'|'.join(str(d) for d in g.invariant_factors)}")
-    return "\n".join(lines) + "\n"
+def _graded_text(graded: GradedGroup, fmt: str) -> str:
+    if fmt == "table":
+        return "".join(f"H_{k} = {g}\n" for k, g in graded.items())
+    if fmt == "csv":
+        lines = ["degree,rank,invariant_factors"]
+        for k, g in graded.items():
+            lines.append(f"{k},{g.free_rank},{'|'.join(str(d) for d in g.invariant_factors)}")
+        return "\n".join(lines) + "\n"
+    return _json_dumps({"homology": _graded_rows(graded)})
 
 
 def _matrix_csv(m) -> str:
     return "".join(",".join(str(e) for e in m.row(i)) + "\n" for i in range(m.rows))
 
 
-def _emit_graded(graded: GradedGroup, fmt: str, out, json_key: str) -> None:
+def _matrix_text(m, fmt: str, payload: dict) -> str:
     if fmt == "table":
-        _write(_graded_table(graded), out)
-    elif fmt == "csv":
-        _write(_graded_csv(graded), out)
-    else:
-        _write(_json_dumps({json_key: _graded_rows(graded)}), out)
+        return format_matrix(m) + "\n"
+    if fmt == "csv":
+        return _matrix_csv(m)
+    return _json_dumps(payload)
 
 
-def _cmd_validate(args) -> int:
-    if args.preset is not None:
-        graph = graph_preset(args.preset)
-        errors = validate(graph)
-    else:
-        try:
-            graph = _load_graph(args)
-            errors = []
-        except ValueError as exc:
-            graph = None
-            errors = [str(exc)]
-    if errors:
+def _cmd_validate(args) -> tuple[int, str]:
+    try:
+        graph = _load_graph(args)
+    except ValueError as exc:
+        if args.preset is not None:  # an unknown preset name goes to stderr
+            raise
         if args.format == "json":
-            _write(_json_dumps({"ok": False, "errors": errors}), args.out)
-        else:
-            _write("".join(f"error: {e}\n" for e in errors), args.out)
-        return 1
+            return 1, _json_dumps({"ok": False, "errors": [str(exc)]})
+        return 1, f"error: {exc}\n"
     if args.emit:
-        _write(_json_dumps(graph_to_json(graph)), args.out)
-    elif args.format == "json":
-        _write(_json_dumps({"ok": True, "errors": []}), args.out)
-    else:
-        _write("ok\n", args.out)
-    return 0
+        return 0, _json_dumps(graph_to_json(graph))
+    if args.format == "json":
+        return 0, _json_dumps({"ok": True, "errors": []})
+    return 0, "ok\n"
 
 
-def _cmd_form(args) -> int:
+def _cmd_form(args) -> tuple[int, str]:
     graph = _load_graph(args)
     form = intersection_form(graph)
-    if args.format == "table":
-        _write(format_matrix(form) + "\n", args.out)
-    elif args.format == "csv":
-        _write(_matrix_csv(form), args.out)
-    else:
-        payload = {
-            "dimension": graph.dimension,
-            "vertices": list(graph.vertices),
-            "matrix": form.to_rows(),
-        }
-        _write(_json_dumps(payload), args.out)
-    return 0
+    payload = {"dimension": graph.dimension, "vertices": list(graph.vertices),
+               "matrix": form.to_rows()}
+    return 0, _matrix_text(form, args.format, payload)
 
 
-def _cmd_homology(args) -> int:
-    graph = _load_graph(args)
-    _emit_graded(base_homology(graph), args.format, args.out, "homology")
-    return 0
+def _cmd_homology(args) -> tuple[int, str]:
+    return 0, _graded_text(base_homology(_load_graph(args)), args.format)
 
 
-def _cmd_twist(args) -> int:
+def _cmd_twist(args) -> tuple[int, str]:
     graph = _load_graph(args)
     # a word acts in exactly one degree
     (degree, matrix), = word_action(graph, parse_word(args.word)).items()
-    if args.format == "table":
-        _write(format_matrix(matrix) + "\n", args.out)
-    elif args.format == "csv":
-        _write(_matrix_csv(matrix), args.out)
-    else:
-        payload = {"word": args.word, "degrees": [{"degree": degree, "matrix": matrix.to_rows()}]}
-        _write(_json_dumps(payload), args.out)
-    return 0
+    payload = {"word": args.word, "degrees": [{"degree": degree, "matrix": matrix.to_rows()}]}
+    return 0, _matrix_text(matrix, args.format, payload)
 
 
-def _cmd_torus(args) -> int:
+def _cmd_torus(args) -> tuple[int, str]:
     graph = _load_graph(args)
     action = word_action(graph, parse_word(args.word))
-    homology = mapping_torus_homology(base_homology(graph), action)
-    _emit_graded(homology, args.format, args.out, "homology")
-    return 0
+    return 0, _graded_text(mapping_torus_homology(base_homology(graph), action), args.format)
 
 
 def _fillings_table(report: FillingReport) -> str:
@@ -255,40 +225,24 @@ def _fillings_json(report: FillingReport) -> str:
     return _json_dumps(payload)
 
 
-def _cmd_fillings(args) -> int:
+_FILLINGS_TEXT = {"table": _fillings_table, "csv": _fillings_csv, "json": _fillings_json}
+
+
+def _cmd_fillings(args) -> tuple[int, str]:
     if args.kmax < 1:
         raise ValueError("--kmax must be at least 1")
-    graph = _load_graph(args)
-    report = filling_family(graph, parse_word(args.word), args.kmax)
-    if args.format == "table":
-        _write(_fillings_table(report), args.out)
-    elif args.format == "csv":
-        _write(_fillings_csv(report), args.out)
-    else:
-        _write(_fillings_json(report), args.out)
-    return 0
+    report = filling_family(_load_graph(args), parse_word(args.word), args.kmax)
+    return 0, _FILLINGS_TEXT[args.format](report)
 
 
-def _cmd_snf(args) -> int:
-    matrix = parse_matrix(args.matrix)
-    result = snf(matrix)
+def _cmd_snf(args) -> tuple[int, str]:
+    result = snf(parse_matrix(args.matrix))
+    parts = {"S": result.S, "U": result.U, "V": result.V}
     if args.format == "table":
-        text = (
-            f"S = {format_matrix(result.S)}\n"
-            f"U = {format_matrix(result.U)}\n"
-            f"V = {format_matrix(result.V)}\n"
-        )
-        _write(text, args.out)
-    elif args.format == "csv":
-        _write(_matrix_csv(result.S), args.out)
-    else:
-        payload = {
-            "S": result.S.to_rows(),
-            "U": result.U.to_rows(),
-            "V": result.V.to_rows(),
-        }
-        _write(_json_dumps(payload), args.out)
-    return 0
+        return 0, "".join(f"{name} = {format_matrix(m)}\n" for name, m in parts.items())
+    if args.format == "csv":
+        return 0, _matrix_csv(result.S)
+    return 0, _json_dumps({name: m.to_rows() for name, m in parts.items()})
 
 
 _COMMANDS = {
@@ -306,7 +260,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code, text = _COMMANDS[args.command](args)
+        _write(text, args.out)  # the one place a command's output leaves the program
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except ValueError as exc:

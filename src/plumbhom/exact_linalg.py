@@ -63,8 +63,9 @@ class IntMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         entries = tuple(entries)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        for n in (rows, cols):
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ValueError(f"matrix dimensions must be nonnegative integers, got {n!r}")
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import importlib
 import json
 import os
 import subprocess
@@ -47,6 +49,19 @@ MALFORMED = [
     (_doc(**_H1_DOC, h1_action={"L1": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
      "invalid plumbing graph: h1_action for 'L1' is not unimodular"),
 ]
+
+
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDevice:
+    """A stdout whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise _ENOSPC
+
+    def flush(self):
+        pass
 
 
 def invoke(capsys, *argv):
@@ -324,7 +339,7 @@ class TestCliContract:
         ["fillings", "--preset", "a2-3pt-n3", "--word", "t1", "--kmax", "2"],
         ["snf", "--matrix", "[[2]]"],
     ], ids=lambda argv: argv[0])
-    def test_unwritable_output_is_input_error(self, capsys, tmp_path, argv):
+    def test_unwritable_output_is_input_error(self, capsys, monkeypatch, tmp_path, argv):
         for target, reason in ((tmp_path / "missing" / "out.txt", "No such file"),
                                (tmp_path, "Is a directory")):
             code, out, err = invoke(capsys, *argv, "--out", str(target))
@@ -332,6 +347,21 @@ class TestCliContract:
             assert err.startswith("error: cannot write output: ")
             assert reason in err
             assert err.count("\n") == 1
+        # stdout on a full device: the same one line, not a traceback
+        monkeypatch.setattr(sys, "stdout", _FullDevice())
+        code, _, err = invoke(capsys, *argv)
+        assert (code, err) == (1, f"error: cannot write output: {_ENOSPC}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_on_full_device_exits_one(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "plumbhom", "homology", "--preset", "a2-3pt-n3"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {_ENOSPC}\n")
 
     def test_byte_determinism(self, capsys):
         args = (
@@ -341,6 +371,19 @@ class TestCliContract:
         first = invoke(capsys, *args)
         second = invoke(capsys, *args)
         assert first == second
+
+    def test_console_script_target(self, capsys, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["plumbhom"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["plumbhom", "snf", "--matrix", "[[2]]"])
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("S = [[2]]\n")
 
     def test_module_entry_point(self):
         env = dict(os.environ)

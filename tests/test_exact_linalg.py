@@ -69,6 +69,12 @@ class TestIntMatrix:
             IntMatrix(1, 1, [1.0])
         with pytest.raises(ValueError):
             IntMatrix(1, 1, ["1"])
+        for rows, cols in ((1.0, 1), (1, 1.0), (True, 1), (1, True), ("1", 1)):
+            with pytest.raises(ValueError, match="dimensions"):
+                IntMatrix(rows, cols, [5])
+        for cols in (2.0, True):
+            with pytest.raises(ValueError, match="dimensions"):
+                IntMatrix.from_rows([], cols=cols)
 
     def test_empty_matrices_allowed(self):
         assert IntMatrix(0, 0, []).shape == (0, 0)

@@ -12,7 +12,9 @@ moved onto the elimination step ``smith_invariants`` uses: S is unique, but
 U and V are one valid pair among many and changed with that move, so they
 pin the transforms as computed since then. The ``form-*``, ``homology-*`` and
 ``validate-*`` files were captured before twist words moved to their closed
-form; before them no test ran ``form`` in csv or json.
+form; before them no test ran ``form`` in csv or json. The ``twist-n2-*``,
+``torus-n2-*``, ``validate-n3.{table,csv}`` and ``validate-bad-sign.*`` files
+were captured before every command returned its text to one write in ``run``.
 Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
 tests/golden/<name>`` only when an output is meant to change.
 """
@@ -36,6 +38,9 @@ COMMANDS = {
         ["fillings", "--preset", "a2-3pt-n2", "--word", "t1^-3 t2", "--kmax", "12"],
     "twist-n1-t1inv3": ["twist", "--preset", "a2-3pt-n1", "--word", "t1^-3"],
     "torus-n1-t1inv": ["torus", "--preset", "a2-3pt-n1", "--word", "t1^-1"],
+    # dimension 2: each twist is a reflection (T^e = T^(e mod 2)), so t1^-3 acts as t1
+    "twist-n2-t1inv3t2": ["twist", "--preset", "a2-3pt-n2", "--word", "t1^-3 t2"],
+    "torus-n2-t1inv3t2": ["torus", "--preset", "a2-3pt-n2", "--word", "t1^-3 t2"],
     # phi of order 6: H5 vanishes at k = 1, 5, 7 and turns free at k = 6 (H6 Z^2 -> Z^4)
     "fillings-n5-1pt-t1t2-k7":
         ["fillings", "--preset", "a2-1pt-n5", "--word", "t1 t2", "--kmax", "7"],
@@ -44,6 +49,10 @@ COMMANDS = {
     "homology-n3": ["homology", "--preset", "a2-3pt-n3"],
     # dimension 1: sphere and arc classes merge into H_1 = Z^(E + 1)
     "homology-n1": ["homology", "--preset", "a2-3pt-n1"],
+    "validate-n3": ["validate", "--preset", "a2-3pt-n3"],
+    # a graph file that fails to parse: the error is the output, and the exit code is 1
+    "validate-bad-sign":
+        ["validate", "--graph", str(GOLDEN / "bad-sign-n3.graph.json")],
     # rank 3: the last row is r0 + 2 r1 - r2
     "snf-4x5-rank3":
         ["snf", "--matrix", "[[-2,3,3,0,2],[-2,2,2,0,-2],[4,4,0,5,-4],[-10,3,7,-5,2]]"],
@@ -59,18 +68,27 @@ CASES["fillings-n2-t1t2-k40.csv"] = [
 ]
 # --emit writes the canonical graph JSON whatever --format says
 CASES["validate-n1-emit.json"] = ["validate", "--preset", "a2-3pt-n1", "--emit"]
-CASES["validate-n3.json"] = ["validate", "--preset", "a2-3pt-n3", "--format", "json"]
 # a graph file: the A_8 chain in dimension 3 with its Coxeter word (8x8 products)
 for fmt in ("table", "csv", "json"):
     CASES[f"fillings-a8-chain-coxeter.{fmt}"] = [
         "fillings", "--graph", str(GOLDEN / "a8-chain-n3.graph.json"),
         "--word", "v0 v1 v2 v3 v4 v5 v6 v7", "--kmax", "6", "--format", fmt,
     ]
+EXIT_CODES = {f"validate-bad-sign.{fmt}": 1 for fmt in ("table", "csv", "json")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(capsys, name):
     code = run(CASES[name])
     captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
+    assert (code, captured.err) == (EXIT_CODES.get(name, 0), "")
     assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+def test_out_file_matches_golden(capsys, tmp_path, fmt):
+    name = f"fillings-n3-t1inv.{fmt}"
+    target = tmp_path / name
+    assert run([*CASES[name], "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()

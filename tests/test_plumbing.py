@@ -18,6 +18,7 @@ from plumbhom.plumbing import (
     parse_graph,
     validate,
 )
+from plumbhom.presets import GRAPH_PRESETS, graph_preset
 
 A2_3PT_N3 = PlumbingGraph(3, ("L1", "L2"), (("L1", "L2", 1),) * 3)
 A2_3PT_N2 = PlumbingGraph(2, ("L1", "L2"), (("L1", "L2", 1),) * 3)
@@ -44,6 +45,11 @@ def random_graph(rng: random.Random, dimensions=range(2, 8)) -> PlumbingGraph:
 class TestValidate:
     def test_a2_ok(self):
         assert validate(A2_3PT_N3) == []
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_PRESETS))
+    def test_presets_ok(self, name):
+        # the CLI validates graph files only; presets are trusted as built
+        assert validate(graph_preset(name)) == []
 
     def test_single_vertex_ok(self):
         assert validate(SINGLE_N3) == []
