@@ -47,8 +47,7 @@ class Representation(Frozen):
                 f"expected {2 * genus} assignments for genus {genus}, "
                 f"got {len(assignments)}"
             )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "assignments", assignments)
+        self._set(genus, assignments)
 
 
 def wang_pieces(
@@ -148,8 +147,7 @@ class BoundaryCheck(Frozen):
     __slots__ = ("ok", "failing_degrees")
 
     def __init__(self, ok: bool, failing_degrees: tuple[int, ...] = ()):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failing_degrees", failing_degrees)
+        self._set(ok, failing_degrees)
 
 
 def boundary_check(rep: Representation) -> BoundaryCheck:

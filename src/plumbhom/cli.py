@@ -16,6 +16,7 @@ from .distinguisher import FillingReport, filling_family
 from .exact_linalg import AbelianGroup, format_matrix, parse_matrix, snf
 from .plumbing import (
     GradedGroup,
+    InvalidGraph,
     PlumbingGraph,
     base_homology,
     graph_to_json,
@@ -138,7 +139,10 @@ def _cmd_validate(args) -> tuple[int, str]:
         if args.preset is not None:  # an unknown preset name goes to stderr
             raise
         if args.format == "json":
-            return 1, _json_dumps({"ok": False, "errors": [str(exc)]})
+            # one entry per violation, each worded as if it were the only one
+            errors = ([str(InvalidGraph([e])) for e in exc.errors]
+                      if isinstance(exc, InvalidGraph) else [str(exc)])
+            return 1, _json_dumps({"ok": False, "errors": errors})
         return 1, f"error: {exc}\n"
     if args.emit:
         return 0, _json_dumps(graph_to_json(graph))

@@ -43,12 +43,7 @@ class FillingEntry(Frozen):
 
     def __init__(self, k: int, homology: GradedGroup, torsion_factors: tuple[int, ...],
                  torsion_cardinality: int, boundary_ok: bool, class_id: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "homology", homology)
-        object.__setattr__(self, "torsion_factors", torsion_factors)
-        object.__setattr__(self, "torsion_cardinality", torsion_cardinality)
-        object.__setattr__(self, "boundary_ok", boundary_ok)
-        object.__setattr__(self, "class_id", class_id)
+        self._set(k, homology, torsion_factors, torsion_cardinality, boundary_ok, class_id)
 
 
 class FillingReport(Frozen):
@@ -60,14 +55,8 @@ class FillingReport(Frozen):
     def __init__(self, graph: PlumbingGraph, word: str, k_max: int, torsion_degree: int,
                  indexing_note: str, entries: tuple[FillingEntry, ...], distinct_classes: int,
                  trivial_torsion_ks: tuple[int, ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "torsion_degree", torsion_degree)
-        object.__setattr__(self, "indexing_note", indexing_note)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "distinct_classes", distinct_classes)
-        object.__setattr__(self, "trivial_torsion_ks", trivial_torsion_ks)
+        self._set(graph, word, k_max, torsion_degree,
+                  indexing_note, entries, distinct_classes, trivial_torsion_ks)
 
 
 def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> FillingReport:

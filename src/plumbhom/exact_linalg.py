@@ -40,11 +40,12 @@ built through ``IntMatrix._unchecked``, which skips the per-entry check.
 ``Frozen`` is the one base of the package's immutable value types
 (``AbelianGroup`` here, and the graph, word, representation and report types
 downstream): equality, hash and repr read the fields named in the subclass's
-``__slots__``, and assignment raises ``AttributeError``. Each subclass checks
-its fields in ``__init__``. ``AbelianGroup._unchecked``, like
-``IntMatrix._unchecked``, wraps a free rank and factors that were already
-checked (a Smith diagonal, or the pieces of a group built before) and skips
-the checks.
+``__slots__``, and assignment raises ``AttributeError``. Every subclass checks
+its fields in ``__init__``, so an object that exists is valid and no caller
+checks it again; ``__init__`` then stores the fields with one ``_set`` call.
+``AbelianGroup._unchecked``, like ``IntMatrix._unchecked``, wraps a free rank
+and factors that were already checked (a Smith diagonal, or the pieces of a
+group built before), skips the checks and assigns its two slots directly.
 """
 
 from __future__ import annotations
@@ -173,8 +174,8 @@ class Frozen:
 
     Objects are equal only to objects of the same class with equal fields;
     the hash and the ``Name(field=value, ...)`` repr read the same fields.
-    Assignment and deletion raise ``AttributeError``, so ``__init__`` sets
-    each slot through ``object.__setattr__``.
+    Assignment and deletion raise ``AttributeError``, so ``__init__`` stores
+    its checked fields through ``_set``.
     """
 
     __slots__ = ()
@@ -196,6 +197,11 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def _set(self, *values: object) -> None:
+        """Assign ``values`` to the slots, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -228,8 +234,7 @@ class AbelianGroup(Frozen):
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisor chain, got {factors}")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "invariant_factors", factors)
+        self._set(free_rank, factors)
 
     @classmethod
     def _unchecked(cls, free_rank: int, invariant_factors: tuple[int, ...]) -> "AbelianGroup":

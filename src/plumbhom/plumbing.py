@@ -14,6 +14,11 @@ self-loops not). The graph determines
 For n = 1 the middle homology mixes sphere and arc classes and no intersection
 form is derived from the graph; degree-1 twist actions are supplied on the
 graph as ``h1_actions`` (the ``a2-3pt-n1`` preset in ``presets`` carries one).
+
+Like every ``Frozen`` type, a ``PlumbingGraph`` checks itself once, in
+``__init__``: ``validate`` lists the violations and any violation raises
+``InvalidGraph``. A graph that exists is valid, so nothing that takes one
+checks it again.
 """
 
 from __future__ import annotations
@@ -23,11 +28,20 @@ from collections.abc import Iterable, Mapping
 from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det
 
 
+class InvalidGraph(ValueError):
+    """A graph that breaks its invariants; ``errors`` lists each violation."""
+
+    def __init__(self, errors: list[str]):
+        super().__init__("invalid plumbing graph: " + "; ".join(errors))
+        self.errors = errors
+
+
 class PlumbingGraph(Frozen):
     """Signed plumbing graph with ambient sphere dimension.
 
     ``h1_actions`` optionally carries, for dimension-1 graphs only, the matrix
     of a twist's action on H_1 for selected vertices (rank E + 1, unimodular).
+    Construction raises ``InvalidGraph`` if ``validate`` finds a violation.
     """
 
     __slots__ = ("dimension", "vertices", "edges", "h1_actions")
@@ -37,10 +51,11 @@ class PlumbingGraph(Frozen):
                  h1_actions: Mapping[str, IntMatrix] | Iterable[tuple[str, IntMatrix]] = ()):
         if isinstance(h1_actions, Mapping):
             h1_actions = h1_actions.items()
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "edges", tuple((a, b, s) for (a, b, s) in edges))
-        object.__setattr__(self, "h1_actions", tuple(h1_actions))
+        self._set(dimension, tuple(vertices), tuple((a, b, s) for (a, b, s) in edges),
+                  tuple(h1_actions))
+        errors = validate(self)
+        if errors:
+            raise InvalidGraph(errors)
 
     @property
     def edge_count(self) -> int:
@@ -115,18 +130,21 @@ def validate(graph: PlumbingGraph) -> list[str]:
         errors.append(f"dimension must be an integer >= 1, got {dimension!r}")
     if not graph.vertices:
         errors.append("empty vertex list")
+    # the connectivity walk needs unique labels and edges between known vertices
+    walkable = True
     seen: set[str] = set()
     for label in graph.vertices:
         if label in seen:
             errors.append(f"duplicate vertex label {label!r}")
+            walkable = False
         seen.add(label)
     known = set(graph.vertices)
     adjacency: dict[str, set[str]] = {v: set() for v in graph.vertices}
     for a, b, sign in graph.edges:
-        if a not in known:
-            errors.append(f"edge endpoint {a!r} is not a vertex")
-        if b not in known:
-            errors.append(f"edge endpoint {b!r} is not a vertex")
+        for end in (a, b):
+            if end not in known:
+                errors.append(f"edge endpoint {end!r} is not a vertex")
+                walkable = False
         if a == b:
             errors.append(f"self-loop at {a!r}")
         if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
@@ -134,7 +152,7 @@ def validate(graph: PlumbingGraph) -> list[str]:
         if a in known and b in known and a != b:
             adjacency[a].add(b)
             adjacency[b].add(a)
-    if graph.vertices and not [e for e in errors if "endpoint" in e or "duplicate" in e]:
+    if graph.vertices and walkable:
         stack = [graph.vertices[0]]
         reached = {graph.vertices[0]}
         while stack:
@@ -169,12 +187,6 @@ def _validate_h1_actions(graph: PlumbingGraph) -> list[str]:
     return errors
 
 
-def ensure_valid(graph: PlumbingGraph) -> None:
-    errors = validate(graph)
-    if errors:
-        raise ValueError("invalid plumbing graph: " + "; ".join(errors))
-
-
 def intersection_form(graph: PlumbingGraph) -> IntMatrix:
     """Intersection pairing on H_n in the vertex-order basis, n >= 2.
 
@@ -187,12 +199,6 @@ def intersection_form(graph: PlumbingGraph) -> IntMatrix:
             "no intersection form is derived for dimension 1; "
             "use a preset or supply h1_action matrices in the graph file"
         )
-    ensure_valid(graph)
-    return _intersection_form(graph)
-
-
-def _intersection_form(graph: PlumbingGraph) -> IntMatrix:
-    # the form of a graph already validated, dimension >= 2
     n = graph.dimension
     half_sign = (-1) ** (n * (n + 1) // 2)
     parity = (-1) ** n
@@ -219,7 +225,6 @@ def base_homology(graph: PlumbingGraph) -> GradedGroup:
     For n >= 2: H_0 = Z, H_1 = Z^(E - V + 1), H_n = Z^V. For n = 1 the two
     middle contributions merge: H_1 = Z^(E + 1).
     """
-    ensure_valid(graph)
     nv = len(graph.vertices)
     ne = graph.edge_count
     n = graph.dimension
@@ -288,9 +293,7 @@ def graph_from_json(data: object) -> PlumbingGraph:
             if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
                 raise ValueError(f"h1_action for {label!r} must be a matrix (list of rows)")
             h1_actions.append((label, IntMatrix.from_rows(rows)))
-    graph = PlumbingGraph(dimension, tuple(vertices), tuple(edges), tuple(h1_actions))
-    ensure_valid(graph)
-    return graph
+    return PlumbingGraph(dimension, vertices, edges, h1_actions)
 
 
 def parse_graph(text: str) -> PlumbingGraph:

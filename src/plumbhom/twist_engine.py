@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .exact_linalg import Frozen, IntMatrix, mat_mul, mat_pow, snf
-from .plumbing import PlumbingGraph, _intersection_form, ensure_valid
+from .plumbing import PlumbingGraph, intersection_form
 
 
 class TwistWord(Frozen):
@@ -42,7 +42,7 @@ class TwistWord(Frozen):
                 raise ValueError("empty vertex label in word")
             if not isinstance(exp, int) or isinstance(exp, bool) or exp == 0:
                 raise ValueError(f"word exponents must be nonzero integers, got {exp!r}")
-        object.__setattr__(self, "letters", letters)
+        self._set(letters)
 
     def __str__(self) -> str:
         return " ".join(
@@ -184,32 +184,27 @@ def twist_matrix(graph: PlumbingGraph, vertex: str) -> GradedAction:
     reflection image of the i-th sphere class. For dimension 1 the matrix is
     looked up from the graph's ``h1_actions`` (see module docstring).
     """
-    return _word_action(graph, ((vertex, 1),))
+    return word_action(graph, TwistWord(((vertex, 1),)))
 
 
 def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     """Composite action of a twist word, leftmost letter applied last.
 
-    The graph is validated and its intersection form built once per word.
-    For n >= 2 the product starts from I and takes each letter t^e in closed
-    form (module docstring), as a rank-one update of the rows with a nonzero
-    entry in column t. Dimension-1 letters are stored matrices, which may be
+    The intersection form is built once per word. For n >= 2 the product
+    starts from I and takes each letter t^e in closed form (module
+    docstring), as a rank-one update of the rows with a nonzero entry in
+    column t. Dimension-1 letters are stored matrices, which may be
     any unimodular matrix, so they go through ``GradedAction.power`` and
     ``compose``.
     """
-    return _word_action(graph, word.letters)
-
-
-def _word_action(graph: PlumbingGraph, letters: tuple[tuple[str, int], ...]) -> GradedAction:
-    ensure_valid(graph)
     n = graph.dimension
     index = {label: i for i, label in enumerate(graph.vertices)}
     size = len(index) if n > 1 else graph.edge_count + 1
-    form = _intersection_form(graph) if n > 1 else None
+    form = intersection_form(graph) if n > 1 else None
     sign = (-1) ** ((n + 1) * (n + 2) // 2)
     rows = IntMatrix.identity(size).to_rows()
     acc = IDENTITY_ACTION  # dimension 1 only; compose returns its first letter as it is
-    for label, exp in letters:
+    for label, exp in word.letters:
         v = index.get(label)
         if v is None:
             raise ValueError(f"unknown vertex {label!r}")

@@ -200,6 +200,22 @@ class TestValidate:
         code, _, err = invoke(capsys, "twist", "--graph", str(path), "--word", "L1")
         assert (code, err) == (1, f"error: {message}\n")
 
+    def test_every_violation_has_its_own_json_entry(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(_doc(vertices=["a", "a", "b"],
+                             edges=[{"between": ["b", "b"], "sign": 1}]))
+        code, out, _ = invoke(capsys, "validate", "--graph", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "errors": [
+            "invalid plumbing graph: duplicate vertex label 'a'",
+            "invalid plumbing graph: self-loop at 'b'",
+        ]}
+        joined = "error: invalid plumbing graph: duplicate vertex label 'a'; self-loop at 'b'\n"
+        code, out, _ = invoke(capsys, "validate", "--graph", str(path))
+        assert (code, out) == (1, joined)
+        code, out, err = invoke(capsys, "homology", "--graph", str(path), "--format", "json")
+        assert (code, out, err) == (1, "", joined)
+
     def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -7,9 +7,12 @@ import random
 
 import pytest
 
+import plumbhom.plumbing as plumbing
+from plumbhom.distinguisher import filling_family
 from plumbhom.exact_linalg import AbelianGroup, IntMatrix
 from plumbhom.plumbing import (
     GradedGroup,
+    InvalidGraph,
     PlumbingGraph,
     base_homology,
     graph_from_json,
@@ -19,6 +22,7 @@ from plumbhom.plumbing import (
     validate,
 )
 from plumbhom.presets import GRAPH_PRESETS, graph_preset
+from plumbhom.twist_engine import parse_word, twist_matrix, word_action
 
 A2_3PT_N3 = PlumbingGraph(3, ("L1", "L2"), (("L1", "L2", 1),) * 3)
 A2_3PT_N2 = PlumbingGraph(2, ("L1", "L2"), (("L1", "L2", 1),) * 3)
@@ -42,54 +46,90 @@ def random_graph(rng: random.Random, dimensions=range(2, 8)) -> PlumbingGraph:
     return PlumbingGraph(rng.choice(list(dimensions)), labels, tuple(edges))
 
 
+def violations(*fields) -> list[str]:
+    """What ``PlumbingGraph(*fields)`` raises, checking the message joins the list."""
+    with pytest.raises(InvalidGraph) as excinfo:
+        PlumbingGraph(*fields)
+    errors = excinfo.value.errors
+    assert str(excinfo.value) == "invalid plumbing graph: " + "; ".join(errors)
+    return errors
+
+
 class TestValidate:
     def test_a2_ok(self):
         assert validate(A2_3PT_N3) == []
 
     @pytest.mark.parametrize("name", sorted(GRAPH_PRESETS))
     def test_presets_ok(self, name):
-        # the CLI validates graph files only; presets are trusted as built
+        # presets are built, so checked, at import
         assert validate(graph_preset(name)) == []
 
     def test_single_vertex_ok(self):
         assert validate(SINGLE_N3) == []
 
     def test_disconnected(self):
-        graph = PlumbingGraph(3, ("a", "b"), ())
-        assert any("disconnected" in e for e in validate(graph))
+        assert violations(3, ("a", "b"), ()) == ["disconnected graph"]
 
     def test_bad_dimension(self):
         for dimension in (0, 1.0, True):
-            graph = PlumbingGraph(dimension, ("a",), ())
-            assert validate(graph) == [f"dimension must be an integer >= 1, got {dimension!r}"]
+            assert violations(dimension, ("a",), ()) == [
+                f"dimension must be an integer >= 1, got {dimension!r}"
+            ]
 
     def test_self_loop(self):
-        graph = PlumbingGraph(3, ("a",), (("a", "a", 1),))
-        assert any("self-loop" in e for e in validate(graph))
+        assert any("self-loop" in e for e in violations(3, ("a",), (("a", "a", 1),)))
 
     def test_empty_vertex_list(self):
-        graph = PlumbingGraph(3, (), ())
-        assert any("empty vertex list" in e for e in validate(graph))
+        assert any("empty vertex list" in e for e in violations(3, (), ()))
 
     def test_unknown_endpoint(self):
-        graph = PlumbingGraph(3, ("a",), (("a", "b", 1),))
-        assert any("not a vertex" in e for e in validate(graph))
+        assert any("not a vertex" in e for e in violations(3, ("a",), (("a", "b", 1),)))
 
     def test_bad_sign(self):
         for sign in (2, 1.0, True):
-            graph = PlumbingGraph(3, ("a", "b"), (("a", "b", sign),))
-            assert any("sign" in e for e in validate(graph))
+            assert any("sign" in e for e in violations(3, ("a", "b"), (("a", "b", sign),)))
 
     def test_h1_actions_only_for_dimension_one(self):
         matrix = IntMatrix.identity(4)
-        graph = PlumbingGraph(3, ("a", "b"), (("a", "b", 1),) * 3, (("a", matrix),))
-        assert any("dimension 1" in e for e in validate(graph))
+        errors = violations(3, ("a", "b"), (("a", "b", 1),) * 3, (("a", matrix),))
+        assert any("dimension 1" in e for e in errors)
 
     def test_h1_action_size_checked(self):
-        graph = PlumbingGraph(
-            1, ("a", "b"), (("a", "b", 1),) * 3, (("a", IntMatrix.identity(3)),)
-        )
-        assert any("4x4" in e for e in validate(graph))
+        errors = violations(1, ("a", "b"), (("a", "b", 1),) * 3, (("a", IntMatrix.identity(3)),))
+        assert any("4x4" in e for e in errors)
+
+    def test_every_violation_listed(self):
+        assert violations(3, ("a", "a", "b"), (("b", "b", 1),)) == [
+            "duplicate vertex label 'a'", "self-loop at 'b'"
+        ]
+
+    @pytest.mark.parametrize("label", ["duplicate", "endpoint"])
+    def test_label_text_does_not_hide_disconnection(self, label):
+        # labels that occur in the messages of the checks that skip the walk
+        assert violations(3, (label, "b"), ((label, label, 1),)) == [
+            f"self-loop at {label!r}", "disconnected graph"
+        ]
+
+    def test_validated_once_when_made(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return validate(g)
+
+        monkeypatch.setattr(plumbing, "validate", counting)
+        labels = tuple(f"v{i}" for i in range(20))
+        graph = PlumbingGraph(3, labels, tuple((a, b, 1) for a, b in zip(labels, labels[1:])))
+        assert calls == [graph]
+        word = parse_word(" ".join(labels))
+        word_action(graph, word)
+        twist_matrix(graph, "v0")
+        base_homology(graph)
+        intersection_form(graph)
+        filling_family(graph, word, 3)
+        assert calls == [graph]
+        assert parse_graph(json.dumps(graph_to_json(graph))) == graph
+        assert len(calls) == 2
 
 
 class TestIntersectionForm:

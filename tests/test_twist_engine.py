@@ -7,11 +7,10 @@ import random
 import pytest
 
 import plumbhom.exact_linalg as exact_linalg
-import plumbhom.plumbing as plumbing
 import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det
 from plumbhom.exact_linalg import IntMatrix, mat_mul, mat_sub
-from plumbhom.plumbing import PlumbingGraph, intersection_form, validate
+from plumbhom.plumbing import PlumbingGraph, intersection_form
 from plumbhom.presets import graph_preset
 from plumbhom.twist_engine import (
     GradedAction,
@@ -53,6 +52,8 @@ class TestTwistMatrix:
     def test_unknown_vertex(self):
         with pytest.raises(ValueError, match="unknown vertex"):
             twist_matrix(A2_3PT_N3, "L9")
+        with pytest.raises(ValueError, match="^empty vertex label in word$"):
+            twist_matrix(A2_3PT_N3, "")
 
     def test_dimension_one_needs_preset_or_h1_action(self):
         graph = PlumbingGraph(1, ("L1", "L2"), (("L1", "L2", 1),) * 3)
@@ -172,19 +173,6 @@ class TestWordAction:
             assert word_action(graph, word).matrix(n) == expected.matrix(n, len(graph.vertices))
             for label in graph.vertices:
                 assert twist_matrix(graph, label).matrix(n) == _reflection(graph, label).matrix(n)
-
-    def test_graph_validated_once_per_word(self, monkeypatch):
-        labels = tuple(f"v{i}" for i in range(20))
-        graph = PlumbingGraph(3, labels, tuple((a, b, 1) for a, b in zip(labels, labels[1:])))
-        calls = []
-
-        def counting(g):
-            calls.append(g)
-            return validate(g)
-
-        monkeypatch.setattr(plumbing, "validate", counting)
-        word_action(graph, parse_word(" ".join(labels)))
-        assert len(calls) == 1
 
     def test_rank_one_perturbation_is_nilpotent_for_odd_n(self):
         # T = I + N with N^2 = 0, so T^k = I + kN

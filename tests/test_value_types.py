@@ -179,9 +179,9 @@ def test_defaults():
 
 
 def test_normalisation_makes_tuples():
-    g = PlumbingGraph(1, ["t1", "t2"], [["t1", "t2", 1]], {"t1": H1})
+    g = PlumbingGraph(1, ["t1", "t2"], [["t1", "t2", 1]] * 3, {"t1": H1})
     assert g.vertices == ("t1", "t2")
-    assert g.edges == (("t1", "t2", 1),)
+    assert g.edges == (("t1", "t2", 1),) * 3
     assert g.h1_actions == (("t1", H1),)
     assert AbelianGroup(0, [2]).invariant_factors == (2,)
     assert TwistWord([["t1", 1]]).letters == (("t1", 1),)
@@ -203,6 +203,10 @@ def test_normalisation_makes_tuples():
     (lambda: Representation("1", ()), "genus must be an integer >= 1, got '1'"),
     (lambda: Representation(True, [SPIN] * 2), "genus must be an integer >= 1, got True"),
     (lambda: Representation(2, [SPIN] * 3), "expected 4 assignments for genus 2, got 3"),
+    (lambda: PlumbingGraph(0, ("t1",), ()),
+     "invalid plumbing graph: dimension must be an integer >= 1, got 0"),
+    (lambda: PlumbingGraph(1, ("t1", "t2"), (("t1", "t2", 1),), {"t1": H1}),
+     "invalid plumbing graph: h1_action for 't1' must be 2x2, got 4x4"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as excinfo:
