@@ -9,12 +9,22 @@ which rules out fixed-width arithmetic from the start.
 One pivot step, ``_eliminate_pivot``, does all Smith elimination. It takes
 the nonzero entry of smallest absolute value in the working block, ties
 broken by the first in row-major order of the block as it lies at that
-moment (both callers may hold it transposed against the input). It clears
-the pivot's row and column with exact quotients or Bezout steps whose
-cofactors are balanced (|x| <= |b/g|/2), then adds a row to the pivot row
-until the pivot divides the rest of the block. Every row operation is also
-applied to the rows of a transform that the caller passes, and every
-transpose of the block swaps the row-side and column-side transforms.
+moment (both callers may hold it transposed against the input); the search
+runs row by row on builtins and stops at the first row holding a unit. It
+clears the pivot's column with row steps (exact quotients, or Bezout steps
+whose cofactors are balanced, |x| <= |b/g|/2), transposes the block, clears
+the old row the same way, and adds a row to the pivot row until the pivot
+divides the rest of the block. Every row operation is also applied to the
+rows of a transform that the caller passes, and every transpose of the
+block swaps the row-side and column-side transforms.
+
+A unit pivot divides everything, so it skips that divisibility scan, and
+once its column is clear the steps that clear its row change only that row
+and the column-side transform: they run in place, not between two
+transposes that cancel (one transpose stays when the row is already clear).
+The tie rule and this pattern of transposes are kept because ``snf``'s U
+and V depend on them: S is unique, but another pivot or orientation gives
+another valid pair of transforms, and the CLI prints them.
 
 ``snf`` passes identity transforms and returns them as witnesses
 (``U @ M @ V == S``); only callers that use the transforms need it: the CLI
@@ -341,10 +351,15 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
     leave the block transposed. On return the pivot divides every other entry
     of the block.
     """
-    pi, pj = min(
-        ((i, j) for i, r in enumerate(block) for j, e in enumerate(r) if e),
-        key=lambda ij: abs(block[ij[0]][ij[1]]),
-    )
+    # the first row-major entry of least |value|; no entry beats a unit
+    least = pi = 0
+    for i, r in enumerate(block):
+        v = min(filter(None, map(abs, r)), default=0)
+        if v and (v < least or not least):
+            least, pi = v, i
+            if v == 1:
+                break
+    pj = list(map(abs, block[pi])).index(least)
     rows, cols = sides
     block[0], block[pi] = block[pi], block[0]
     rows[0], rows[pi] = rows[pi], rows[0]
@@ -368,12 +383,25 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
                     top, row = mat[0], mat[i]
                     mat[0] = [x * p + y * q for p, q in zip(top, row)]
                     mat[i] = [ag * q - bg * p for p, q in zip(top, row)]
+        top = block[0]
+        p = top[0]
+        if (p == 1 or p == -1) and any(top[1:]):
+            # column 0 is zero below a unit pivot, so the column steps that
+            # clear row 0 change only row 0 and the column side: no transposes
+            cols = sides[1]
+            for j in range(1, len(top)):
+                if top[j]:
+                    q = top[j] * p
+                    cols[j] = [y - q * x for x, y in zip(cols[0], cols[j])]
+            top[1:] = [0] * (len(top) - 1)
+            return 1
         block[:] = [list(c) for c in zip(*block)]
         sides.reverse()
         if any(r[0] for r in block[1:]):
             continue
-        p = block[0][0]
-        stray = next((i for i in range(1, len(block)) if any(e % p for e in block[i])), None)
+        if p == 1 or p == -1:
+            return 1
+        stray = next((i for i in range(1, len(block)) if any(map(p.__rmod__, block[i]))), None)
         if stray is None:
             return abs(p)
         for mat in (block, sides[0]):

@@ -39,6 +39,7 @@ class InvalidGraph(ValueError):
 class PlumbingGraph(Frozen):
     """Signed plumbing graph with ambient sphere dimension.
 
+    Vertices are unique non-empty string labels, the names twist words use.
     ``h1_actions`` optionally carries, for dimension-1 graphs only, the matrix
     of a twist's action on H_1 for selected vertices (rank E + 1, unimodular).
     Construction raises ``InvalidGraph`` if ``validate`` finds a violation.
@@ -132,24 +133,29 @@ def validate(graph: PlumbingGraph) -> list[str]:
         errors.append("empty vertex list")
     # the connectivity walk needs unique labels and edges between known vertices
     walkable = True
-    seen: set[str] = set()
+    known: set[str] = set()
     for label in graph.vertices:
-        if label in seen:
+        if not isinstance(label, str) or not label:
+            # no twist word can name it, and graph files hold only strings
+            errors.append(f"vertex label must be a non-empty string, got {label!r}")
+            walkable = False
+        elif label in known:
             errors.append(f"duplicate vertex label {label!r}")
             walkable = False
-        seen.add(label)
-    known = set(graph.vertices)
-    adjacency: dict[str, set[str]] = {v: set() for v in graph.vertices}
+        else:
+            known.add(label)
+    adjacency: dict[str, set[str]] = {v: set() for v in known}
     for a, b, sign in graph.edges:
         for end in (a, b):
-            if end not in known:
+            # an end at a vertex with a bad label is reported once, as the label
+            if not (isinstance(end, str) and end in known) and end not in graph.vertices:
                 errors.append(f"edge endpoint {end!r} is not a vertex")
                 walkable = False
         if a == b:
             errors.append(f"self-loop at {a!r}")
         if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
             errors.append(f"edge sign must be 1 or -1, got {sign!r}")
-        if a in known and b in known and a != b:
+        if walkable and a != b:
             adjacency[a].add(b)
             adjacency[b].add(a)
     if graph.vertices and walkable:

@@ -6,12 +6,10 @@ arguments; graph paths in it are relative to the repository root.
 ``corpus/digest.txt`` holds, line for line, ``<exit code> <sha256 of stdout>
 <sha256 of stderr>``. ``test_behaviour_corpus.py`` runs every line in-process
 through ``plumbhom.cli.run`` and compares. A deliberate output change is made
-by regenerating the digest, which prints each line that moved:
+by regenerating the digest, which prints each line that moved, and listing
+those lines with the change:
 
-    PYTHONPATH=src python tests/behaviour_corpus.py --write
-
-Without ``--write`` the script only reports the lines that differ and exits 1
-if any do.
+    PYTHONPATH=src python tests/behaviour_corpus.py
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import hashlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,27 +52,18 @@ def digest_line(argv: list[str]) -> str:
     )])
 
 
-def main(argv: list[str]) -> int:
-    write = argv == ["--write"]
-    if argv and not write:
-        sys.stderr.write("usage: behaviour_corpus.py [--write]\n")
-        return 1
+def main() -> None:
+    """Rewrite the digest from the argv list, printing each line that moved."""
     cases = load_argv()
-    old = load_digest() if DIGEST.exists() else []
+    old = load_digest()
     new = [digest_line(case) for case in cases]
-    moved = [i for i in range(len(new)) if i >= len(old) or old[i] != new[i]]
-    for i in moved:
-        print(f"line {i + 1}: {json.dumps(cases[i])}")
-        print(f"  was {old[i] if i < len(old) else '(none)'}")
-        print(f"  now {new[i]}")
-    if len(old) > len(new):
-        print(f"{len(old) - len(new)} trailing digest lines dropped")
-    if write:
-        DIGEST.write_text("".join(f"{line}\n" for line in new), encoding="ascii")
-        print(f"wrote {len(new)} lines to {DIGEST.relative_to(ROOT)}")
-        return 0
-    return 1 if moved or len(old) != len(new) else 0
+    for i, line in enumerate(new):
+        was = old[i] if i < len(old) else "(none)"
+        if line != was:
+            print(f"line {i + 1}: {json.dumps(cases[i])}\n  was {was}\n  now {line}")
+    DIGEST.write_text("".join(f"{line}\n" for line in new), encoding="ascii")
+    print(f"wrote {len(new)} lines to {DIGEST.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

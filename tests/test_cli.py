@@ -216,6 +216,16 @@ class TestValidate:
         code, out, err = invoke(capsys, "homology", "--graph", str(path), "--format", "json")
         assert (code, out, err) == (1, "", joined)
 
+    def test_empty_vertex_label_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "empty-label.json"
+        path.write_text(_doc(vertices=["L1", ""], edges=[{"between": ["L1", ""], "sign": 1}]))
+        message = "invalid plumbing graph: vertex label must be a non-empty string, got ''"
+        code, out, _ = invoke(capsys, "validate", "--graph", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "errors": [message]}
+        code, out, err = invoke(capsys, "homology", "--graph", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -13,6 +13,11 @@ from math import gcd
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # optional: the property test skips without it
+    given = None
+
 import plumbhom.exact_linalg as exact_linalg
 import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det, smith_diagonal_by_minors
@@ -227,6 +232,106 @@ class TestSmithInvariants:
         monkeypatch.setattr(twist_engine, "snf", refuse)
         report = filling_family(graph_preset("a2-3pt-n2"), parse_word("t1 t2"), 12)
         assert [e.torsion_cardinality for e in report.entries][:3] == [5, 45, 320]
+
+
+def _unit_sides(rows: int, cols: int) -> list[list[list[int]]]:
+    # row i of the row side is e_i and row j of the column side is e_(rows + j),
+    # so a side's first row names the row or column it came from
+    n = rows + cols
+    return [[[int(t == i) for t in range(n)] for i in range(rows)],
+            [[int(t == rows + j) for t in range(n)] for j in range(cols)]]
+
+
+class TestPivotStep:
+    @pytest.mark.parametrize("rows, picked", [
+        # a tie between rows: 2 at (0, 2), (1, 0) and (2, 1)
+        ([[4, 8, 2], [2, 8, 10], [6, 2, 4]], (0, 2)),
+        # the least entry is not a unit, and row 0 does not hold it
+        ([[12, 8, 20], [4, 8, 4], [4, 12, 16]], (1, 0)),
+        # a unit first found in the last row
+        ([[4, 6, 8], [6, 9, 12], [10, 14, -1]], (2, 2)),
+        # -1 comes before +1
+        ([[2, -1, 1], [1, 3, 5], [4, -1, 7]], (0, 1)),
+        # a unit pivot whose row has other nonzero entries
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], (0, 0)),
+        ([[3, 0, 5], [0, 0, 0], [7, 1, 1]], (2, 1)),
+    ])
+    def test_first_row_major_entry_of_least_value(self, rows, picked):
+        # every pivot here divides its block, so no Bezout step or stray fix
+        # touches the first row of either side
+        block = [list(r) for r in rows]
+        sides = _unit_sides(len(rows), len(rows[0]))
+        least = min(abs(e) for r in rows for e in r if e)
+        assert exact_linalg._eliminate_pivot(block, sides) == least
+        (i,), (j,) = sorted([t for t, e in enumerate(side[0]) if e] for side in sides)
+        assert (i, j - len(rows)) == picked
+        assert abs(block[0][0]) == least
+        assert not any(block[0][1:]) and not any(r[0] for r in block[1:])
+
+    @pytest.mark.parametrize("rows, step_block, step_sides, transposed", [
+        # the unit clears its own row: the block keeps its orientation
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+         [[1, 0, 0], [0, -3, -6], [0, -6, -11]],
+         [[[1, 0, 0], [-4, 1, 0], [-7, 0, 1]], [[1, 0, 0], [-2, 1, 0], [-3, 0, 1]]], False),
+        # row 0 is zero off the unit: one transpose, as before
+        ([[1, 0, 0], [3, 5, 7], [2, 4, 9]],
+         [[1, 0, 0], [0, 5, 4], [0, 7, 9]],
+         [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [-3, 1, 0], [-2, 0, 1]]], True),
+    ])
+    def test_unit_pivot_matches_the_two_transpose_route(
+            self, rows, step_block, step_sides, transposed):
+        # frozen from the route that transposed the block before and after
+        # clearing row 0 with column steps
+        block = [list(r) for r in rows]
+        sides = [IntMatrix.identity(n).to_rows() for n in (len(rows), len(rows[0]))]
+        row_side = sides[0]
+        assert exact_linalg._eliminate_pivot(block, sides) == 1
+        assert (block, sides, sides[1] is row_side) == (step_block, step_sides, transposed)
+
+    @pytest.mark.parametrize("rows, u, s, v", [
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+         [[1, 0, 0], [-3, -1, 1], [-4, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 3]],
+         [[1, 1, -1], [0, -2, 5], [0, 1, -3]]),
+        ([[1, 0, 0], [3, 5, 7], [2, 4, 9]],
+         [[1, 0, 0], [-2, 0, 1], [9, -1, -3]], [[1, 0, 0], [0, 1, 0], [0, 0, 17]],
+         [[1, 0, 0], [0, -2, -9], [0, 1, 4]]),
+        ([[-1, 2, -3, 4], [5, 6, 7, 8], [9, 10, 11, 13], [2, 3, 5, 7]],
+         [[-1, 0, 0, 0], [-2, 0, 0, -1], [1, 2, -1, 0], [23, 23, -12, 8]],
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 88]],
+         [[1, -3, 3, -31], [0, 0, 2, -7], [0, 1, -1, 11], [0, 0, -1, 4]]),
+        ([[2, 1, 3], [1, 4, -1]],
+         [[1, 0], [-4, 1]], [[1, 0, 0], [0, 1, 0]], [[0, -2, 13], [1, 1, -5], [0, 1, -7]]),
+    ])
+    def test_snf_transforms_are_frozen(self, rows, u, s, v):
+        # U and V depend on the tie rule and on the orientation each pivot
+        # step leaves the block in
+        result = snf(IntMatrix.from_rows(rows))
+        assert [m.to_rows() for m in result] == [u, s, v]
+
+
+if given is None:
+    def test_smith_contract_property():
+        pytest.skip("hypothesis is not installed")
+else:
+    _ENTRIES = st.one_of(st.sampled_from((-1, 0, 0, 1)), st.integers(-6, 6))
+    _SMALL_MATRICES = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda shape: st.lists(_ENTRIES, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda entries: IntMatrix(shape[0], shape[1], entries)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_SMALL_MATRICES)
+    def test_smith_contract_property(m):
+        u, s, v = snf(m)
+        assert mat_mul(mat_mul(u, m), v) == s
+        assert abs(det(u)) == 1 and abs(det(v)) == 1
+        diag = smith_diagonal(s)
+        assert all(d >= 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+        expected = [d for d in smith_diagonal_by_minors(m.to_rows()) if d]
+        assert [d for d in diag if d] == expected
+        assert smith_invariants(m) == expected
 
 
 class TestCokernelAndKernel:

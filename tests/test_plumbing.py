@@ -103,6 +103,22 @@ class TestValidate:
             "duplicate vertex label 'a'", "self-loop at 'b'"
         ]
 
+    @pytest.mark.parametrize("label", [1, "", None, ("a",), ["a"]])
+    def test_labels_must_be_non_empty_strings(self, label):
+        # a word cannot name such a vertex, nor a graph file hold it; the
+        # edges at it are not reported again as unknown endpoints
+        assert violations(3, ("a", label), (("a", label, 1),)) == [
+            f"vertex label must be a non-empty string, got {label!r}"
+        ]
+
+    def test_each_bad_label_has_its_own_entry(self):
+        assert violations(3, ("a", 1, "", "a"), (("a", 1, 1), ("", "b", 1))) == [
+            "vertex label must be a non-empty string, got 1",
+            "vertex label must be a non-empty string, got ''",
+            "duplicate vertex label 'a'",
+            "edge endpoint 'b' is not a vertex",
+        ]
+
     @pytest.mark.parametrize("label", ["duplicate", "endpoint"])
     def test_label_text_does_not_hide_disconnection(self, label):
         # labels that occur in the messages of the checks that skip the walk
