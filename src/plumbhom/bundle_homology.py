@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .exact_linalg import AbelianGroup, Frozen, IntMatrix, cokernel_group
+from .exact_linalg import AbelianGroup, Frozen, cokernel_rows
 from .plumbing import GradedGroup
 from .twist_engine import IDENTITY_ACTION, GradedAction
 
@@ -70,7 +70,7 @@ def wang_pieces(
         raise ValueError("at least one monodromy is required")
     if not base.is_free():
         raise ValueError("base homology must be free in every degree")
-    stored: dict[int, list[IntMatrix]] = {}
+    stored: dict[int, list[list[list[int]]]] = {}
     for action in monodromies:
         maps = action.items()
         for k, m in maps:
@@ -79,7 +79,7 @@ def wang_pieces(
                     f"rank mismatch in degree {k}: base has rank {base.rank(k)}, "
                     f"action stores a {m.rows}x{m.cols} matrix"
                 )
-            stored.setdefault(k, []).append(m)
+            stored.setdefault(k, []).append(m.to_rows())
         zero = dict(maps).get(0)
         if zero is not None and not zero.is_identity():
             raise ValueError("monodromies must act as the identity on degree 0")
@@ -87,35 +87,44 @@ def wang_pieces(
     return {k: _wang_piece(stored.get(k, ()), base.rank(k), m) for k in base.degrees()}
 
 
-def _wang_piece(blocks: Sequence[IntMatrix], r: int, m: int) -> tuple[AbelianGroup, int]:
-    """(coker D, kernel rank of D) for the stored r x r blocks of m monodromies."""
+def _wang_piece(
+    blocks: Sequence[list[list[int]]], r: int, m: int
+) -> tuple[AbelianGroup, int]:
+    """(coker D, kernel rank of D) for the stored r x r blocks, as rows, of m monodromies."""
     if not blocks:
         return AbelianGroup._unchecked(r, ()), r * m
-    coker = cokernel_group(_difference_blocks(blocks, r))
+    coker = cokernel_rows(_difference_blocks(blocks, r))
     return coker, r * (m - 1) + coker.free_rank
 
 
-def _difference_blocks(maps: Sequence[IntMatrix], r: int) -> IntMatrix:
-    """[m_1 - I | m_2 - I | ...] for r x r matrices, built row by row."""
-    out: list[int] = []
+def _difference_blocks(maps: Sequence[list[list[int]]], r: int) -> list[list[int]]:
+    """The rows of [m_1 - I | m_2 - I | ...] for r x r matrices given as rows."""
+    out = []
     for i in range(r):
+        row: list[int] = []
         for m in maps:
-            row = list(m.row(i))
-            row[i] -= 1
-            out.extend(row)
-    return IntMatrix._unchecked(r, r * len(maps), tuple(out))
+            row += m[i]
+            row[i - r] -= 1  # entry i of the block just appended
+        out.append(row)
+    return out
 
 
 _NO_PIECE = (AbelianGroup(0), 0)
 
 
+def _changed_degrees(degrees: Iterable[int]) -> list[int]:
+    """k and k + 1 for every k in degrees, ascending: the H_j a piece in degree k enters."""
+    degrees = set(degrees)
+    return sorted(degrees | {k + 1 for k in degrees})
+
+
 def _total_groups(
-    pieces: dict[int, tuple[AbelianGroup, int]], around: Iterable[int]
+    pieces: dict[int, tuple[AbelianGroup, int]], degrees: Iterable[int]
 ) -> dict[int, AbelianGroup]:
-    """H_j(E) = coker D_j + Z^(kernel rank of D_{j-1}) for j = k and k + 1, k in around."""
+    """H_j(E) = coker D_j + Z^(kernel rank of D_{j-1}) for each j in degrees, in order."""
     # every piece was checked where it was built, so the sums need no check
     groups = {}
-    for k in sorted(set(around) | {k + 1 for k in around}):
+    for k in degrees:
         coker = pieces.get(k, _NO_PIECE)[0]
         free = coker.free_rank + pieces.get(k - 1, _NO_PIECE)[1]
         groups[k] = AbelianGroup._unchecked(free, coker.invariant_factors)
@@ -124,7 +133,7 @@ def _total_groups(
 
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
     pieces = wang_pieces(base, monodromies)
-    return GradedGroup._unchecked(_total_groups(pieces, pieces))
+    return GradedGroup._unchecked(_total_groups(pieces, _changed_degrees(pieces)))
 
 
 def mapping_torus_homology(base: GradedGroup, phi: GradedAction) -> GradedGroup:

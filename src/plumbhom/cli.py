@@ -8,12 +8,11 @@ error or a failed write (to stdout or --out), 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bundle_homology import mapping_torus_homology
 from .distinguisher import FillingReport, filling_family
-from .exact_linalg import AbelianGroup, format_matrix, parse_matrix, snf
+from .exact_linalg import AbelianGroup, format_matrix, parse_matrix, smith_form, snf
 from .plumbing import (
     GradedGroup,
     InvalidGraph,
@@ -94,6 +93,8 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _json_dumps(obj) -> str:
+    import json  # only json output needs it, so csv and table runs never load it
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -185,10 +186,9 @@ def _fillings_table(report: FillingReport) -> str:
         f"torsion degree: {report.torsion_degree}",
         f"note: {report.indexing_note}",
     ]
-    for e in report.entries:
+    for e, cells in _cells(report.entries, lambda k, g: f"H{k}={g}"):
         torsion = "+".join(f"Z/{d}" for d in e.torsion_factors) or "0"
-        homology = " ".join(f"H{k}={g}" for k, g in e.homology.items())
-        lines.append(f"k={e.k} class={e.class_id} torsion={torsion} {homology}")
+        lines.append(f"k={e.k} class={e.class_id} torsion={torsion} {' '.join(cells)}")
     lines.append(f"distinct homology types: {report.distinct_classes}")
     if report.trivial_torsion_ks:
         ks = ",".join(str(k) for k in report.trivial_torsion_ks)
@@ -198,11 +198,32 @@ def _fillings_table(report: FillingReport) -> str:
 
 def _fillings_csv(report: FillingReport) -> str:
     lines = ["k,degree,rank,invariant_factors,class"]
-    for e in report.entries:
-        for k, g in e.homology.items():
-            factors = "|".join(str(d) for d in g.invariant_factors)
-            lines.append(f"{e.k},{k},{g.free_rank},{factors},{e.class_id}")
+    def cell(k: int, g: AbelianGroup) -> str:
+        return f"{k},{g.free_rank},{'|'.join(map(str, g.invariant_factors))}"
+
+    for e, cells in _cells(report.entries, cell):
+        head, tail = f"{e.k},", f",{e.class_id}"
+        lines.extend([head + c + tail for c in cells])
     return "\n".join(lines) + "\n"
+
+
+def _cells(entries, fmt):
+    """Yield each entry with ``fmt(k, g)`` for its degrees k and groups g, in order.
+
+    A degree whose group is the object the entry before held keeps its text:
+    the degrees a member does not change hold member 1's groups, so theirs
+    is made once (identity, not equality: hashing a group costs more than
+    formatting it).
+    """
+    held: dict[int, tuple[AbelianGroup, str]] = {}
+    for e in entries:
+        cells = []
+        for k, g in e.homology.items():
+            last = held.get(k)
+            if last is None or last[0] is not g:
+                last = held[k] = g, fmt(k, g)
+            cells.append(last[1])
+        yield e, cells
 
 
 def _fillings_json(report: FillingReport) -> str:
@@ -240,13 +261,14 @@ def _cmd_fillings(args) -> tuple[int, str]:
 
 
 def _cmd_snf(args) -> tuple[int, str]:
-    result = snf(parse_matrix(args.matrix))
+    m = parse_matrix(args.matrix)
+    if args.format == "csv":  # S alone, with no transforms built
+        return 0, _matrix_csv(smith_form(m))
+    result = snf(m)
     parts = {"S": result.S, "U": result.U, "V": result.V}
     if args.format == "table":
-        return 0, "".join(f"{name} = {format_matrix(m)}\n" for name, m in parts.items())
-    if args.format == "csv":
-        return 0, _matrix_csv(result.S)
-    return 0, _json_dumps({name: m.to_rows() for name, m in parts.items()})
+        return 0, "".join(f"{name} = {format_matrix(x)}\n" for name, x in parts.items())
+    return 0, _json_dumps({name: x.to_rows() for name, x in parts.items()})
 
 
 _COMMANDS = {

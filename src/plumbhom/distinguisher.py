@@ -10,10 +10,16 @@ than assumed distinct.
 
 Member k = 1 goes through ``wang_pieces`` on (phi, Id), which checks phi
 once. Later members differ from it only in the degrees d where phi stores a
-matrix: there D_d = phi^k_d - I (the identity partner adds a zero block), so
-each member reduces that one block of the running product phi^k and rebuilds
-H_d and H_{d+1} (cokernel in d, kernel rank one degree up); every other degree
-keeps member 1's group. The boundary condition [phi^k, Id] = Id holds for
+matrix: there D_d = phi^k_d - I (the identity partner adds a zero block).
+The running product phi^k_d is kept as rows, and phi_d's columns are sliced
+once per family, so each member costs one small product per moving degree
+(``row_product``) and one reduction of D_d, built as rows by the same
+``_wang_piece`` as member 1. Only the changed degrees, d and d + 1 for each
+moving d (cokernel in d, kernel rank one degree up), fixed once per family,
+are rebuilt; every other degree keeps member 1's group object. So a member's
+class is keyed on its changed degrees' groups alone, a key that agrees with
+equality of the whole graded group (``classify_distinct`` gives the same ids
+from the graded groups). The boundary condition [phi^k, Id] = Id holds for
 every k, so it is checked once and its outcome put on every entry.
 
 ``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
@@ -26,8 +32,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bundle_homology import Representation, _total_groups, _wang_piece, boundary_check, wang_pieces
-from .exact_linalg import Frozen, IntMatrix, det, mat_mul
+from .bundle_homology import (
+    Representation,
+    _changed_degrees,
+    _total_groups,
+    _wang_piece,
+    boundary_check,
+    wang_pieces,
+)
+from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det, row_product
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
 from .twist_engine import IDENTITY_ACTION, TwistWord, word_action
 
@@ -72,34 +85,35 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     # member k = 1 checks phi and gives the pieces every later member reuses
     ok = boundary_check(Representation(1, (generator, IDENTITY_ACTION))).ok
     pieces = wang_pieces(base, [generator, IDENTITY_ACTION])
-    groups = _total_groups(pieces, pieces)
-    moving = {d: m for d, m in generator.items() if d in pieces}
-    power = dict(moving)
-    homologies: list[GradedGroup] = []
-    raw: list[tuple[int, GradedGroup, tuple[int, ...], int]] = []
+    groups = _total_groups(pieces, _changed_degrees(pieces))
+    # phi^k_d as rows, advanced by phi_d's columns, sliced once
+    powers = {d: m.to_rows() for d, m in generator.items() if d in pieces}
+    columns = {d: list(zip(*rows)) for d, rows in powers.items()}
+    changed = _changed_degrees(powers)
+    classes: dict[tuple[AbelianGroup, ...], int] = {}
+    entries = []
     for k in range(1, k_max + 1):
         if k > 1:
-            for d, m in moving.items():
-                power[d] = mat_mul(power[d], m)
-                pieces[d] = _wang_piece((power[d],), m.rows, 2)
-            groups.update(_total_groups(pieces, moving))
+            for d, cols in columns.items():
+                power = powers[d] = row_product(powers[d], cols)
+                # the identity partner stores no block: m = 2 with phi^k_d alone
+                pieces[d] = _wang_piece((power,), len(power), 2)
+        update = _total_groups(pieces, changed)
+        groups.update(update)
+        # every other degree holds member 1's group, so this key is graded equality
+        class_id = classes.setdefault(tuple(update.values()), len(classes) + 1)
         homology = GradedGroup._unchecked(groups)
         torsion = homology.group(degree)
-        homologies.append(homology)
-        raw.append((k, homology, torsion.invariant_factors, torsion.torsion_cardinality))
-    classes = classify_distinct(homologies)
-    entries = tuple(
-        FillingEntry(k, hom, factors, cardinality, ok, class_id)
-        for (k, hom, factors, cardinality), class_id in zip(raw, classes)
-    )
+        entries.append(FillingEntry(k, homology, torsion.invariant_factors,
+                                    torsion.torsion_cardinality, ok, class_id))
     return FillingReport(
         graph=graph,
         word=str(word),
         k_max=k_max,
         torsion_degree=degree,
         indexing_note=INDEXING_NOTE,
-        entries=entries,
-        distinct_classes=len(set(classes)),
+        entries=tuple(entries),
+        distinct_classes=len(classes),
         trivial_torsion_ks=tuple(e.k for e in entries if e.torsion_cardinality == 1),
     )
 

@@ -28,12 +28,17 @@ another valid pair of transforms, and the CLI prints them.
 
 ``snf`` passes identity transforms and returns them as witnesses
 (``U @ M @ V == S``); only callers that use the transforms need it: the CLI
-``snf`` command and ``GradedAction.inverse`` (dimension-1 letters with
+``snf`` command in table and json format (csv prints S alone, from
+``smith_form``) and ``GradedAction.inverse`` (dimension-1 letters with
 negative exponents, genus >= 2 boundary checks). A negative pivot is made
 positive by negating its row of ``U``, so the signs go into ``U``.
-``smith_invariants`` passes zero-width transforms and returns only the
-nonzero Smith diagonal. It serves ``cokernel_group``, ``rank`` and
-``kernel_rank``: it drops zero rows and columns before each pivot, and
+``smith_rows`` passes zero-width transforms and returns only the nonzero
+Smith diagonal of a matrix given as rows; ``cokernel_rows`` reads a cokernel
+from it. ``smith_invariants`` and ``cokernel_group`` (and through them
+``rank``, ``kernel_rank`` and ``smith_form``) hand them an ``IntMatrix``'s
+rows; the Wang pieces of ``bundle_homology`` (every filling-family member
+among them) hand their difference blocks over as rows directly. It drops
+zero rows and columns on entry and the rows a pivot step leaves zero, and
 finishes once at most two rows or two columns are left, from the block's
 determinantal divisors (gcd of the entries, gcd of the 2x2 minors).
 
@@ -60,9 +65,8 @@ group built before), skips the checks and assigns its two slots directly.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import attrgetter, mul, sub
 
@@ -294,15 +298,24 @@ def snf(m: IntMatrix) -> SnfResult:
         done_u.append(u.pop(0))
         done_vt.append(vt.pop(0))
         block = [r[1:] for r in block[1:]]
-    _check_invariants(diag, m)
-    s = [[0] * m.cols for _ in range(m.rows)]
-    for t, d in enumerate(diag):
-        s[t][t] = d
+    _check_invariants(diag, min(m.rows, m.cols))
     return SnfResult(
         IntMatrix.from_rows(done_u + u, cols=m.rows),
-        IntMatrix.from_rows(s, cols=m.cols),
+        _diagonal(diag, m.rows, m.cols),
         IntMatrix.from_rows(done_vt + vt, cols=m.cols).transpose(),
     )
+
+
+def smith_form(m: IntMatrix) -> IntMatrix:
+    """The S of ``snf(m)`` alone: S is unique, so no transforms are built."""
+    return _diagonal(smith_invariants(m), m.rows, m.cols)
+
+
+def _diagonal(diag: list[int], rows: int, cols: int) -> IntMatrix:
+    entries = [0] * (rows * cols)
+    for t, d in enumerate(diag):
+        entries[t * (cols + 1)] = d
+    return IntMatrix._unchecked(rows, cols, tuple(entries))
 
 
 def smith_diagonal(s: IntMatrix) -> list[int]:
@@ -312,22 +325,37 @@ def smith_diagonal(s: IntMatrix) -> list[int]:
 def smith_invariants(m: IntMatrix) -> list[int]:
     """Nonzero Smith diagonal of m in divisor-chain order, without transforms.
 
-    The length is the rank of m. Each pivot step takes the nonzero entry of
-    smallest absolute value, clears its row and column, and makes it divide
-    the rest of the block, so the pivots form a divisor chain and the
-    determinantal finish continues it. The invariants do not change under
-    transposition, so the block is transposed freely.
+    The length is the rank of m. This is ``smith_rows`` on a copy of m's rows.
     """
-    block = m.to_rows()
+    return smith_rows(m.to_rows())
+
+
+def smith_rows(block: list[list[int]]) -> list[int]:
+    """``smith_invariants`` of the matrix with these rows; the rows are consumed.
+
+    Each pivot step takes the nonzero entry of smallest absolute value,
+    clears its row and column, and makes it divide the rest of the block, so
+    the pivots form a divisor chain and the determinantal finish continues
+    it. Zero rows and columns are dropped once, on entry; the step leaves its
+    row and column clear, so the next block is the rest without them, less
+    the rows that came out zero (a zero column left behind only delays the
+    finish: an all-zero block has no rows left). A block with at most two
+    rows or two columns (a 2x2 input at once) goes to the determinantal
+    finish. Invariants do not change under transposition, so the pivot step
+    may leave the block transposed.
+    """
+    bound = min(len(block), len(block[0])) if block else 0
     out: list[int] = []
-    while True:
-        block = [list(c) for c in zip(*(r for r in block if any(r))) if any(c)]
-        if len(block) <= 2 or len(block[0]) <= 2:
-            break
+    block = [r for r in block if any(r)]
+    if len(block) > 2 and len(block[0]) > 2:
+        cols = [c for c in zip(*block) if any(c)]
+        if len(cols) < len(block[0]):
+            block = [list(r) for r in zip(*cols)]
+    while len(block) > 2 and len(block[0]) > 2:
         out.append(_eliminate_pivot(block, [[[] for _ in block], [[] for _ in block[0]]]))
-        block = [r[1:] for r in block[1:]]
+        block = [r for r in (r[1:] for r in block[1:]) if any(r)]
     out.extend(_determinantal_invariants(block))
-    _check_invariants(out, m)
+    _check_invariants(out, bound)
     return out
 
 
@@ -427,8 +455,9 @@ def _determinantal_invariants(block: list[list[int]]) -> list[int]:
     return [d1, d12 // d1] if d12 else [d1]
 
 
-def _check_invariants(diag: list[int], m: IntMatrix) -> None:
-    if len(diag) > min(m.rows, m.cols):
+def _check_invariants(diag: list[int], bound: int) -> None:
+    """Raise unless diag is a divisor chain of at most ``bound`` positive ints."""
+    if len(diag) > bound:
         raise RuntimeError("more Smith invariants than the matrix has rows or columns")
     if any(d <= 0 for d in diag):
         raise RuntimeError("Smith invariant is not positive")
@@ -453,8 +482,14 @@ def cokernel_group(m: IntMatrix) -> AbelianGroup:
     invariants that exceed 1, already in divisor-chain order. No transforms
     are built.
     """
-    diag = smith_invariants(m)
-    return AbelianGroup._unchecked(m.rows - len(diag), tuple([d for d in diag if d > 1]))
+    return cokernel_rows(m.to_rows())
+
+
+def cokernel_rows(block: list[list[int]]) -> AbelianGroup:
+    """``cokernel_group`` of the matrix with these rows; the rows are consumed."""
+    rows = len(block)
+    diag = smith_rows(block)
+    return AbelianGroup._unchecked(rows - len(diag), tuple([d for d in diag if d > 1]))
 
 
 def det(m: IntMatrix) -> int:
@@ -490,11 +525,15 @@ def det(m: IntMatrix) -> int:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    # b's columns are sliced once; a 2x0 times 0x3 gives empty columns, so zeros
-    cols = b._columns()
-    return IntMatrix._unchecked(a.rows, b.cols, tuple([
-        sum(map(mul, row, col)) for row in map(a.row, range(a.rows)) for col in cols
-    ]))
+    product = row_product(map(a.row, range(a.rows)), b._columns())
+    return IntMatrix._unchecked(a.rows, b.cols, tuple([e for row in product for e in row]))
+
+
+def row_product(rows: Iterable[Sequence[int]],
+                cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows of A B, from A's rows and B's columns (sliced once by the caller)."""
+    # a 2x0 times 0x3 gives empty columns, so zeros
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -524,6 +563,8 @@ def parse_matrix(text: str) -> IntMatrix:
     Whitespace is free; entries are decimal integers with an optional leading
     minus. ``[]`` denotes the empty 0x0 matrix.
     """
+    import json
+
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import plumbhom.cli as cli
 import plumbhom.exact_linalg as exact_linalg
 from plumbhom.cli import run
 from plumbhom.exact_linalg import IntMatrix, snf
@@ -22,6 +23,35 @@ A2_N3_DOC = {
     "edges": [{"between": ["L1", "L2"], "sign": 1}] * 3,
 }
 
+
+# a 24x24 matrix of entries in [-9, 9]; its snf transforms reach 38,503 bits,
+# past the 4,300-digit limit on int-to-str conversion
+DENSE_24 = "[" + ",".join([
+    "[-8,-7,-7,2,-4,0,-1,-3,-8,9,-4,4,3,7,2,8,5,7,-1,-8,-9,2,5,1]",
+    "[3,4,7,-4,8,-4,-2,-2,-9,-4,1,-4,-5,7,7,2,7,8,-4,5,4,7,2,9]",
+    "[2,2,5,-4,3,5,7,-2,6,-1,6,7,7,2,5,5,2,9,8,5,6,-2,1,-4]",
+    "[-1,6,0,0,7,8,7,7,9,4,0,-3,6,7,2,-7,1,-9,-3,-6,-8,9,-8,-1]",
+    "[9,-2,-6,7,-5,-1,-2,-3,-8,4,-8,-8,2,2,-4,-2,-9,-7,-6,-7,-9,-8,-9,2]",
+    "[-1,-5,-4,-4,7,-9,3,9,-8,-2,-5,-8,-9,2,-6,0,1,6,-9,0,5,8,-8,-1]",
+    "[3,-5,6,-2,-7,1,-6,-9,5,-5,7,9,3,6,7,1,-5,1,-1,-1,4,-9,8,-5]",
+    "[-8,-1,-8,-5,-4,-4,-6,5,-2,7,-8,-2,-2,5,-7,-1,-7,9,-2,2,-1,4,-1,7]",
+    "[-9,-5,-8,3,4,-4,-6,7,-7,-2,-6,-6,-9,-4,-2,-6,-3,-9,7,5,5,0,8,3]",
+    "[-3,-3,4,4,7,-9,9,9,-8,4,7,9,-4,-6,6,2,-9,7,-6,2,0,2,0,-9]",
+    "[4,-6,-6,0,-3,-9,5,-8,4,6,5,-3,9,-7,-9,0,-9,2,0,-7,-2,6,-3,-6]",
+    "[9,2,3,5,-5,2,3,-6,-1,-6,-6,-7,1,3,-3,-6,-9,6,-8,6,0,2,5,-5]",
+    "[2,-1,6,7,6,4,6,0,3,-2,-4,6,-1,8,4,-7,9,9,-6,-7,2,-4,8,-5]",
+    "[4,-7,-7,-8,-5,0,3,-2,1,5,-4,7,0,-6,-5,8,4,-6,1,7,-2,7,-1,-4]",
+    "[-4,5,-2,3,2,9,-5,5,5,-9,3,-4,3,7,-8,6,-1,3,-1,4,6,2,8,1]",
+    "[-7,-2,8,-3,3,3,-9,1,5,7,5,-4,-6,-9,3,-3,9,3,-3,-6,3,8,-3,-1]",
+    "[9,9,-3,6,-5,-9,4,6,-1,7,9,-4,5,-3,-7,2,-9,6,8,-7,9,6,1,5]",
+    "[-1,7,5,-9,-7,2,-4,3,-1,-5,-8,-4,6,3,5,0,-5,-9,0,8,5,-9,2,-8]",
+    "[8,3,9,5,-3,0,6,-5,6,8,0,-7,-1,1,0,1,0,3,7,-7,7,-3,3,7]",
+    "[-5,7,-7,0,-8,-2,5,8,-2,7,-1,-8,-6,-6,3,2,-3,1,2,-7,1,5,2,-4]",
+    "[6,5,0,5,-5,5,-3,-1,1,-4,-6,-2,6,-3,2,-4,2,-5,-5,-2,-1,8,3,3]",
+    "[1,-1,7,9,1,3,0,8,-7,2,0,3,6,-4,-1,2,5,6,-7,-4,1,3,-5,-9]",
+    "[-6,2,-4,2,-7,4,-9,8,1,-2,3,8,0,6,-5,2,1,-3,6,-6,-5,-3,1,-1]",
+    "[-5,4,2,-1,-7,1,-3,-2,-2,-8,1,2,-8,-5,-4,-7,4,5,-1,-5,1,7,9,-6]",
+]) + "]"
 
 def _doc(**changes):
     # A2_N3_DOC as JSON text with some keys replaced; a value of None drops the key
@@ -117,6 +147,27 @@ class TestSnf:
             for i in range(2)
         ]
         assert prod == payload["S"]
+
+    def test_csv_builds_no_transforms(self, capsys, monkeypatch):
+        # S is unique, so csv prints it from the Smith invariants alone; the
+        # transforms of DENSE_24 could not even be printed
+        literals = ["[[0,-3],[0,0]]", "[[7,3],[-3,-2]]", "[[2,4,6],[0,0,9],[4,8,12]]",
+                    "[[],[]]", "[]"]
+        expected = {}
+        for literal in literals:
+            code, out, _ = invoke(capsys, "snf", "--matrix", literal, "--format", "json")
+            assert code == 0
+            expected[literal] = json.loads(out)["S"]
+        expected[DENSE_24] = snf(exact_linalg.parse_matrix(DENSE_24)).S.to_rows()
+
+        def no_snf(m):
+            raise AssertionError("snf --format csv built transforms")
+
+        monkeypatch.setattr(cli, "snf", no_snf)
+        for literal, s in expected.items():
+            code, out, err = invoke(capsys, "snf", "--matrix", literal, "--format", "csv")
+            assert (code, err) == (0, "")
+            assert out == "".join(",".join(map(str, row)) + "\n" for row in s)
 
     def test_deeply_nested_literal_is_input_error(self, capsys):
         code, out, err = invoke(capsys, "snf", "--matrix", "[" * 100_000 + "]" * 100_000)
