@@ -2,8 +2,9 @@
 
 Everything downstream (intersection forms, twist actions, torsion of bundle
 homology) reduces to exact computations over the integers, so this module is
-deliberately plain: dense matrices of Python ints, no floats, no modular
-reduction of entries. Torsion orders in the applications grow exponentially,
+deliberately plain: dense matrices of Python ints, no floats, and no modular
+reduction of entries except in the Hermite form below, whose modulus is an
+exact determinant. Torsion orders in the applications grow exponentially,
 which rules out fixed-width arithmetic from the start.
 
 One pivot step, ``_eliminate_pivot``, does all Smith elimination. It takes
@@ -26,12 +27,20 @@ The tie rule and this pattern of transposes are kept because ``snf``'s U
 and V depend on them: S is unique, but another pivot or orientation gives
 another valid pair of transforms, and the CLI prints them.
 
-``snf`` passes identity transforms and returns them as witnesses
-(``U @ M @ V == S``); only callers that use the transforms need it: the CLI
-``snf`` command in table and json format (csv prints S alone, from
-``smith_form``) and ``GradedAction.inverse`` (dimension-1 letters with
-negative exponents, genus >= 2 boundary checks). A negative pivot is made
-positive by negating its row of ``U``, so the signs go into ``U``.
+``snf`` returns its transforms as witnesses (``U @ M @ V == S``); only the
+CLI ``snf`` command in table and json format needs them (csv prints S alone,
+from ``smith_form``). On a singular or rectangular M the pivot steps run on
+M itself with identity transforms, and their entries can grow far past the
+input's. A nonsingular square M takes another route, whose entries stay
+near |det M|: ``det_adjugate`` gives d = det M and adj M by fraction-free
+Gauss-Jordan (stopping at once on a singular M), ``_hermite_mod`` gives the
+row Hermite form H = W M working modulo |d|, and W = H adj(M) / d is an
+exact division. The pivot steps then run on the triangular H with W as the
+row-side transform, so U is W after their row steps. A negative pivot is
+made positive by negating its row of ``U``, so the signs go into ``U``.
+Before returning, ``snf`` checks ``U @ M @ V == S`` and, on the Hermite
+route, that the diagonal of S multiplies to |d|; together these force
+det U, det V = +-1. A failed check raises ``RuntimeError``.
 ``smith_rows`` passes zero-width transforms and returns only the nonzero
 Smith diagonal of a matrix given as rows; ``cokernel_rows`` reads a cokernel
 from it. ``smith_invariants`` and ``cokernel_group`` (and through them
@@ -43,7 +52,8 @@ finishes once at most two rows or two columns are left, from the block's
 determinantal divisors (gcd of the entries, gcd of the 2x2 minors).
 
 Determinants use fraction-free (Bareiss) elimination, exact at every step with
-polynomially bounded intermediates.
+polynomially bounded intermediates; ``det_adjugate`` is its Gauss-Jordan
+form, and ``GradedAction.inverse`` reads m^-1 = det(m) adj(m) from it.
 
 Entries are checked where they enter the program: the public ``IntMatrix``
 constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
@@ -67,7 +77,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from math import gcd
+from math import gcd, prod
 from operator import attrgetter, mul, sub
 
 
@@ -282,10 +292,19 @@ def snf(m: IntMatrix) -> SnfResult:
     Returns ``SnfResult(U, S, V)`` with ``U @ m @ V == S``, ``U`` and ``V``
     unimodular, ``S`` diagonal with nonnegative entries, and each diagonal
     entry dividing the next. Empty matrices pass through (their transforms
-    are empty or identity as the shape dictates).
+    are empty or identity as the shape dictates). A nonsingular square m is
+    reduced through its Hermite form (module docstring). The witnesses are
+    checked before they are returned: a failed check raises ``RuntimeError``.
     """
-    block = m.to_rows()
-    u, vt = IntMatrix.identity(m.rows).to_rows(), IntMatrix.identity(m.cols).to_rows()
+    d, adj = det_adjugate(m) if m.is_square else (0, [])
+    if d:
+        # H = W m with W unimodular, so W = H m^-1 = H adj(m) / d exactly;
+        # the row steps on H then act on W's rows, giving U
+        block = _hermite_mod(m.to_rows(), abs(d))
+        u = [[e // d for e in r] for r in row_product(block, list(zip(*adj)))]
+    else:
+        block, u = m.to_rows(), IntMatrix.identity(m.rows).to_rows()
+    vt = IntMatrix.identity(m.cols).to_rows()
     sides = [u, vt]
     diag: list[int] = []
     done_u: list[list[int]] = []
@@ -299,11 +318,96 @@ def snf(m: IntMatrix) -> SnfResult:
         done_vt.append(vt.pop(0))
         block = [r[1:] for r in block[1:]]
     _check_invariants(diag, min(m.rows, m.cols))
-    return SnfResult(
-        IntMatrix.from_rows(done_u + u, cols=m.rows),
-        _diagonal(diag, m.rows, m.cols),
-        IntMatrix.from_rows(done_vt + vt, cols=m.cols).transpose(),
-    )
+    u, vt = done_u + u, done_vt + vt
+    s = _diagonal(diag, m.rows, m.cols)
+    # the rows of V^T are the columns of V
+    if row_product(row_product(u, m._columns()), vt) != s.to_rows():
+        raise RuntimeError("Smith transforms fail U @ M @ V == S")
+    if d and prod(diag) != abs(d):
+        # with U @ M @ V == S this forces det U, det V = +-1
+        raise RuntimeError("Smith invariants do not multiply to |det M|")
+    return SnfResult(IntMatrix.from_rows(u, cols=m.rows), s,
+                     IntMatrix.from_rows(vt, cols=m.cols).transpose())
+
+
+def det_adjugate(m: IntMatrix) -> tuple[int, list[list[int]]]:
+    """det m and the rows of adj m, by fraction-free Gauss-Jordan inversion.
+
+    Step k takes the pivot p_k = a_kk and turns every other row into
+    (p_k row - a_ik row_k) / p_(k-1), an exact division since the entries
+    are minors of [m | I]. The block holds that augmented matrix in n
+    columns: before step k, column k of I is still a multiple of e_k and is
+    not stored; after it, column k of m is, and column k of I takes its
+    place (-a_ik off the pivot row, p_(k-1) on it). The result is
+    p (P m)^-1 for the last pivot p = det(P m), P the row swaps; undoing
+    the swaps on the columns gives adj m. A column with no pivot stops the
+    elimination: a singular m gives ``(0, [])``.
+    """
+    if not m.is_square:
+        raise ValueError(f"adjugate needs a square matrix, got {m.rows}x{m.cols}")
+    a = m.to_rows()
+    swaps = []
+    prev = 1
+    for k in range(m.rows):
+        pi = next((i for i in range(k, m.rows) if a[i][k]), None)
+        if pi is None:
+            return 0, []
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            swaps.append((k, pi))
+        top = a[k]
+        p = top[k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[:] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                row[k] = -f
+        top[k], prev = prev, p
+    for k, pi in reversed(swaps):
+        for row in a:
+            row[k], row[pi] = row[pi], row[k]
+    sign = -1 if len(swaps) % 2 else 1
+    return sign * prev, [[sign * e for e in row] for row in a]
+
+
+def _hermite_mod(block: list[list[int]], d: int) -> list[list[int]]:
+    """Row Hermite form of a square block whose determinant is +-d, d > 0.
+
+    The form is upper triangular with a positive diagonal, and each entry
+    above the diagonal lies in [0, the diagonal entry of its column). The
+    rows of the block span a lattice L that holds d Z^n (d I = +-adj(M) M),
+    and the vectors of L that vanish before column c hold r Z^(n-c), with r
+    = d over the diagonal entries found before c. So the rows still to be
+    reduced are kept mod r, from column c on, and the diagonal entry of
+    column c is gcd(pivot, r) (Domich, Kannan and Trotter 1987; Cohen, *A
+    Course in Computational Algebraic Number Theory*, Alg. 2.4.8).
+    """
+    r = d
+    rows = [[e % r for e in row] for row in block]
+    h: list[list[int]] = []
+    for c in range(len(block)):
+        top = rows[0]
+        for i in range(1, len(rows)):
+            row = rows[i]
+            b = row[0]
+            if b and top[0] and b % top[0] == 0:
+                q = b // top[0]
+                rows[i] = [(y - q * x) % r for x, y in zip(top, row)]
+            elif b:
+                x, y, g = _bezout(top[0], b)
+                ag, bg = top[0] // g, b // g
+                top, rows[i] = ([(x * p + y * q) % r for p, q in zip(top, row)],
+                                [(ag * q - bg * p) % r for p, q in zip(top, row)])
+        x, _, g = _bezout(top[0], r)
+        new = [g] + [x * e % r for e in top[1:]]
+        for above in h:
+            q = above[c] // g
+            if q:
+                above[c:] = [e - q * f for e, f in zip(above[c:], new)]
+        h.append([0] * c + new)
+        r //= g
+        rows = [row[1:] for row in rows[1:]]
+    return h
 
 
 def smith_form(m: IntMatrix) -> IntMatrix:
@@ -361,7 +465,7 @@ def smith_rows(block: list[list[int]]) -> list[int]:
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
     # (x, y, g) with x*a + y*b == g == gcd(a, b) > 0 and |x| <= |b/g|/2,
-    # for a, b nonzero; the balanced cofactor keeps the combined rows small.
+    # for b nonzero; the balanced cofactor keeps the combined rows small.
     g = gcd(a, b)
     n = abs(b // g)
     x = pow(a // g, -1, n)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .exact_linalg import Frozen, IntMatrix, mat_mul, mat_pow, snf
+from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_mul, mat_pow
 from .plumbing import PlumbingGraph, intersection_form
 
 
@@ -138,13 +138,13 @@ class GradedAction:
         return GradedAction({d: mat_pow(m, e) for d, m in base._maps.items()})
 
     def inverse(self) -> "GradedAction":
-        """Exact inverse: ``U @ m @ V == I`` from the Smith form gives m^-1 = V @ U."""
+        """Exact inverse: m^-1 = det(m) adj(m) when det(m) = +-1."""
         out: dict[int, IntMatrix] = {}
         for d, m in self._maps.items():
-            u, s, v = snf(m)
-            if not s.is_identity():
+            det, adj = det_adjugate(m)
+            if det not in (1, -1):
                 raise ValueError(f"degree {d} map is not unimodular")
-            out[d] = mat_mul(v, u)
+            out[d] = IntMatrix._unchecked(m.rows, m.rows, tuple([det * e for r in adj for e in r]))
         return GradedAction(out)
 
     def is_identity(self) -> bool:

@@ -24,8 +24,9 @@ A2_N3_DOC = {
 }
 
 
-# a 24x24 matrix of entries in [-9, 9]; its snf transforms reach 38,503 bits,
-# past the 4,300-digit limit on int-to-str conversion
+# a 24x24 matrix of entries in [-9, 9] with a 94-bit determinant; the pivot
+# loop alone gave it transforms of 38,503 bits, past the 4,300-digit limit on
+# int-to-str conversion
 DENSE_24 = "[" + ",".join([
     "[-8,-7,-7,2,-4,0,-1,-3,-8,9,-4,4,3,7,2,8,5,7,-1,-8,-9,2,5,1]",
     "[3,4,7,-4,8,-4,-2,-2,-9,-4,1,-4,-5,7,7,2,7,8,-4,5,4,7,2,9]",
@@ -149,8 +150,7 @@ class TestSnf:
         assert prod == payload["S"]
 
     def test_csv_builds_no_transforms(self, capsys, monkeypatch):
-        # S is unique, so csv prints it from the Smith invariants alone; the
-        # transforms of DENSE_24 could not even be printed
+        # S is unique, so csv prints it from the Smith invariants alone
         literals = ["[[0,-3],[0,0]]", "[[7,3],[-3,-2]]", "[[2,4,6],[0,0,9],[4,8,12]]",
                     "[[],[]]", "[]"]
         expected = {}
@@ -168,6 +168,37 @@ class TestSnf:
             code, out, err = invoke(capsys, "snf", "--matrix", literal, "--format", "csv")
             assert (code, err) == (0, "")
             assert out == "".join(",".join(map(str, row)) + "\n" for row in s)
+
+    def test_dense_transforms_print(self, capsys):
+        # the Hermite route keeps U and V near |det|, so table and json
+        # print DENSE_24 under the 4,300-digit limit, with the S of csv
+        code, out, err = invoke(capsys, "snf", "--matrix", DENSE_24, "--format", "csv")
+        assert (code, err) == (0, "")
+        s = [[int(e) for e in line.split(",")] for line in out.splitlines()]
+        code, out, err = invoke(capsys, "snf", "--matrix", DENSE_24, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["S"] == s
+        code, out, err = invoke(capsys, "snf", "--matrix", DENSE_24, "--format", "table")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "S = " + json.dumps(s, separators=(",", ":"))
+
+    def test_broken_witness_is_internal_error(self, capsys, monkeypatch):
+        # the real pivot step, with one entry of the row-side transform
+        # changed after the first step: U @ M @ V no longer equals S
+        real = exact_linalg._eliminate_pivot
+        steps = []
+
+        def corrupt(block, sides):
+            if not steps:
+                steps.append(real(block, sides))
+                sides[0][-1][0] += 1
+                return steps[0]
+            return real(block, sides)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate_pivot", corrupt)
+        code, out, err = invoke(capsys, "snf", "--matrix", "[[7,3],[-3,-2]]", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "internal error: Smith transforms fail U @ M @ V == S\n"
 
     def test_deeply_nested_literal_is_input_error(self, capsys):
         code, out, err = invoke(capsys, "snf", "--matrix", "[" * 100_000 + "]" * 100_000)
