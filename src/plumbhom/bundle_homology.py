@@ -47,6 +47,9 @@ class Representation(Frozen):
                 f"expected {2 * genus} assignments for genus {genus}, "
                 f"got {len(assignments)}"
             )
+        for i, action in enumerate(assignments):
+            if not isinstance(action, GradedAction):
+                raise ValueError(f"assignment {i} must be a GradedAction")
         self._set(genus, assignments)
 
 

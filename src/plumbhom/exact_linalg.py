@@ -51,9 +51,10 @@ zero rows and columns on entry and the rows a pivot step leaves zero, and
 finishes once at most two rows or two columns are left, from the block's
 determinantal divisors (gcd of the entries, gcd of the 2x2 minors).
 
-Determinants use fraction-free (Bareiss) elimination, exact at every step with
-polynomially bounded intermediates; ``det_adjugate`` is its Gauss-Jordan
-form, and ``GradedAction.inverse`` reads m^-1 = det(m) adj(m) from it.
+One elimination gives every determinant: ``det_adjugate``, fraction-free
+Gauss-Jordan, exact at every step with polynomially bounded intermediates.
+``det`` reads det m from it, the Hermite route of ``snf`` reads d and adj M,
+and ``GradedAction.inverse`` reads m^-1 = det(m) adj(m).
 
 Entries are checked where they enter the program: the public ``IntMatrix``
 constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
@@ -62,15 +63,21 @@ that were already checked (``mat_mul``, ``mat_sub``, ``transpose``,
 ``identity``, ``zero``, the Wang blocks D_k) hold ints by construction and are
 built through ``IntMatrix._unchecked``, which skips the per-entry check.
 
-``Frozen`` is the one base of the package's immutable value types
-(``AbelianGroup`` here, and the graph, word, representation and report types
-downstream): equality, hash and repr read the fields named in the subclass's
-``__slots__``, and assignment raises ``AttributeError``. Every subclass checks
-its fields in ``__init__``, so an object that exists is valid and no caller
-checks it again; ``__init__`` then stores the fields with one ``_set`` call.
-``AbelianGroup._unchecked``, like ``IntMatrix._unchecked``, wraps a free rank
-and factors that were already checked (a Smith diagonal, or the pieces of a
-group built before), skips the checks and assigns its two slots directly.
+``Frozen`` is the one base of the package's ten immutable value types
+(``IntMatrix`` and ``AbelianGroup`` here; ``PlumbingGraph``, ``GradedGroup``,
+``TwistWord``, ``GradedAction``, ``Representation``, ``BoundaryCheck``,
+``FillingEntry`` and ``FillingReport`` downstream): equality, hash and repr
+read the fields named in the subclass's ``__slots__``, and assignment raises
+``AttributeError``. ``IntMatrix`` and the two graded types print their own
+reprs; the graded types hash their one dict of degrees as a tuple, and
+``GradedAction`` equality treats a missing degree as the identity. Each input
+type (all but the three result types, ``BoundaryCheck`` and the two filling
+ones) checks its fields in ``__init__``, so an object that exists is valid and
+no caller checks it again; ``__init__`` then stores the fields with one
+``_set`` call. The ``_unchecked`` constructors of ``IntMatrix``,
+``AbelianGroup`` and ``GradedGroup`` wrap values that were already checked (a
+Smith diagonal, or the pieces of a group built before), skip the checks and
+assign the slots directly.
 """
 
 from __future__ import annotations
@@ -81,8 +88,53 @@ from math import gcd, prod
 from operator import attrgetter, mul, sub
 
 
-class IntMatrix:
-    """Dense integer matrix, stored row-major, treated as immutable."""
+class Frozen:
+    """Immutable value whose fields are the subclass's ``__slots__``, in order.
+
+    Objects are equal only to objects of the same class with equal fields;
+    the hash and the ``Name(field=value, ...)`` repr read the same fields.
+    Assignment and deletion raise ``AttributeError``, so ``__init__`` stores
+    its checked fields through ``_set``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # an attrgetter is not a method: self._key(self) reads the fields
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _set(self, *values: object) -> None:
+        """Assign ``values`` to the slots, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since slots cannot be assigned
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class IntMatrix(Frozen):
+    """Dense integer matrix, stored row-major, immutable."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -99,17 +151,15 @@ class IntMatrix:
         for e in entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError(f"matrix entries must be integers, got {e!r}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        self._set(rows, cols, entries)
 
     @classmethod
     def _unchecked(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
         """Wrap a tuple of ``rows * cols`` ints computed from checked matrices."""
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.entries = entries
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
         return m
 
     @classmethod
@@ -171,17 +221,6 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return mat_mul(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}, {self.cols}, {list(self.entries)!r})"
 
@@ -191,51 +230,6 @@ class IntMatrix:
 
 SnfResult = namedtuple("SnfResult", ("U", "S", "V"))
 SnfResult.__doc__ = "Smith decomposition ``U @ M @ V == S`` with unimodular U, V."
-
-
-class Frozen:
-    """Immutable value whose fields are the subclass's ``__slots__``, in order.
-
-    Objects are equal only to objects of the same class with equal fields;
-    the hash and the ``Name(field=value, ...)`` repr read the same fields.
-    Assignment and deletion raise ``AttributeError``, so ``__init__`` stores
-    its checked fields through ``_set``.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        # an attrgetter is not a method: self._key(self) reads the fields
-        cls._key = attrgetter(*cls.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        key = self._key
-        return key(self) == key(other)
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def _set(self, *values: object) -> None:
-        """Assign ``values`` to the slots, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since slots cannot be assigned
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class AbelianGroup(Frozen):
@@ -597,33 +591,10 @@ def cokernel_rows(block: list[list[int]]) -> AbelianGroup:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    The determinant of the empty 0x0 matrix is 1.
-    """
+    """Exact determinant, read from ``det_adjugate``; det of the 0x0 matrix is 1."""
     if not m.is_square:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pk - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
+    return det_adjugate(m)[0]
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

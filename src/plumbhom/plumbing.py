@@ -72,7 +72,7 @@ class PlumbingGraph(Frozen):
 _TRIVIAL = AbelianGroup(0)
 
 
-class GradedGroup:
+class GradedGroup(Frozen):
     """Degree-indexed abelian groups; degrees not stored are trivial."""
 
     __slots__ = ("_groups",)
@@ -83,15 +83,17 @@ class GradedGroup:
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"degrees must be nonnegative integers, got {k!r}")
             g = groups[k]
+            if not isinstance(g, AbelianGroup):
+                raise ValueError(f"degree {k} group must be an AbelianGroup")
             if not g.is_trivial():
                 cleaned[k] = g
-        self._groups = cleaned
+        self._set(cleaned)
 
     @classmethod
     def _unchecked(cls, groups: dict[int, AbelianGroup]) -> "GradedGroup":
         """Wrap groups keyed by ascending degrees >= 0; trivial ones dropped as in ``__init__``."""
         g = object.__new__(cls)
-        g._groups = {k: a for k, a in groups.items() if not a.is_trivial()}
+        object.__setattr__(g, "_groups", {k: a for k, a in groups.items() if not a.is_trivial()})
         return g
 
     def group(self, degree: int) -> AbelianGroup:
@@ -111,9 +113,6 @@ class GradedGroup:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * g.free_rank for k, g in self._groups.items())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradedGroup) and self._groups == other._groups
 
     def __hash__(self) -> int:
         return hash(tuple(self._groups.items()))
@@ -183,8 +182,9 @@ def _validate_h1_actions(graph: PlumbingGraph) -> list[str]:
     for label, matrix in graph.h1_actions:
         if label not in graph.vertices:
             errors.append(f"h1_action for unknown vertex {label!r}")
-            continue
-        if not matrix.is_square or matrix.rows != size:
+        elif not isinstance(matrix, IntMatrix):
+            errors.append(f"h1_action for {label!r} must be a square IntMatrix")
+        elif not matrix.is_square or matrix.rows != size:
             errors.append(
                 f"h1_action for {label!r} must be {size}x{size}, got {matrix.rows}x{matrix.cols}"
             )

@@ -70,7 +70,7 @@ def parse_word(text: str) -> TwistWord:
     return TwistWord(tuple(letters))
 
 
-class GradedAction:
+class GradedAction(Frozen):
     """Degree-indexed square integer matrices; absent degrees act as identity.
 
     Twist-generated actions are always unimodular, but the class accepts any
@@ -90,7 +90,7 @@ class GradedAction:
             if not isinstance(m, IntMatrix) or not m.is_square:
                 raise ValueError(f"degree {k} map must be a square IntMatrix")
             cleaned[k] = m
-        self._maps = cleaned
+        self._set(cleaned)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self._maps)
@@ -151,7 +151,7 @@ class GradedAction:
         return all(m.is_identity() for m in self._maps.values())
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedAction):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         for k in set(self._maps) | set(other._maps):
             a = self._maps.get(k)

@@ -418,7 +418,7 @@ class TestDet:
         assert det(IntMatrix.identity(0)) == 1
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^determinant needs a square matrix, got 2x3$"):
             det(IntMatrix.zero(2, 3))
 
     def test_matches_cofactor_expansion(self):
@@ -427,6 +427,28 @@ class TestDet:
             n = rng.randint(0, 5)
             m = IntMatrix(n, n, [rng.randint(-9, 9) for _ in range(n * n)])
             assert det(m) == cofactor_det(m.to_rows())
+
+    def test_large_squares_match_smith_invariants(self):
+        # past the cofactor oracle's reach: the pivot route of smith_invariants
+        # builds no adjugate, so it is independent of the elimination in det
+        rng = random.Random(20261019)
+        singular = 0
+        for _ in range(60):
+            n = rng.randint(6, 12)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.4:
+                # a row that combines two others
+                i, j, t = rng.sample(range(n), 3)
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[t] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+            m = IntMatrix.from_rows(rows)
+            d, invariants = det(m), smith_invariants(m)
+            assert (d == 0) == (len(invariants) < n)
+            if d:
+                assert abs(d) == prod(invariants)
+            else:
+                singular += 1
+        assert 10 < singular < 50
 
 
 class TestProducts:

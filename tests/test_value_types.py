@@ -1,4 +1,4 @@
-"""The value-type contract of the seven immutable result and input classes.
+"""The value-type contract of the ten immutable result and input classes.
 
 Reprs, equality, hashing, immutability, keyword construction, copying and the
 validation messages are pinned here, so the classes can change how they are
@@ -47,8 +47,11 @@ def _report(**changes):
     return FillingReport(**fields)
 
 
+# the public fields, in constructor order; GradedGroup and GradedAction keep one
+# private dict of degrees each, built from their one constructor argument
 FIELDS = {
     "AbelianGroup": ("free_rank", "invariant_factors"),
+    "IntMatrix": ("rows", "cols", "entries"),
     "PlumbingGraph": ("dimension", "vertices", "edges", "h1_actions"),
     "TwistWord": ("letters",),
     "Representation": ("genus", "assignments"),
@@ -66,6 +69,24 @@ CASES = {
         lambda: AbelianGroup(free_rank=1, invariant_factors=(2, 4)),
         "AbelianGroup(free_rank=1, invariant_factors=(2, 4))",
         lambda: AbelianGroup(1, (4,)),
+    ),
+    "IntMatrix": (
+        lambda: IntMatrix(2, 2, [0, -1, 1, 0]),
+        lambda: IntMatrix(rows=2, cols=2, entries=(0, -1, 1, 0)),
+        "IntMatrix(2, 2, [0, -1, 1, 0])",
+        lambda: IntMatrix(1, 4, [0, -1, 1, 0]),
+    ),
+    "GradedGroup": (
+        lambda: GradedGroup({3: AbelianGroup(1, (3,)), 1: AbelianGroup(0), 0: AbelianGroup(1)}),
+        lambda: GradedGroup(groups={0: AbelianGroup(1), 3: AbelianGroup(1, [3])}),
+        "GradedGroup({0: Z^1, 3: Z^1+Z/3})",
+        lambda: GradedGroup({0: AbelianGroup(1), 3: AbelianGroup(1)}),
+    ),
+    "GradedAction": (
+        lambda: GradedAction({3: IntMatrix.from_rows([[0, -1], [1, 0]])}),
+        lambda: GradedAction(degree_maps={3: IntMatrix(2, 2, [0, -1, 1, 0])}),
+        "GradedAction({3: [[0,-1],[1,0]]})",
+        lambda: GradedAction({3: IntMatrix.from_rows([[0, 1], [-1, 0]])}),
     ),
     "PlumbingGraph": (
         lambda: PlumbingGraph(1, ["t1", "t2"], [["t1", "t2", 1]] * 3, {"t1": H1}),
@@ -131,7 +152,7 @@ def test_equal_fields_equal_objects_and_hashes(name):
     assert len({a, b, other()}) == 2
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", sorted(FIELDS))
 def test_fields_in_signature_order(name):
     a = CASES[name][0]()
     values = [getattr(a, field) for field in FIELDS[name]]
@@ -142,8 +163,8 @@ def test_fields_in_signature_order(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_other_classes_never_equal(name):
     a = CASES[name][0]()
-    fields = {field: getattr(a, field) for field in FIELDS[name]}
-    twin = type("LookAlike", (type(a),), {})(**fields)
+    fields = {field: getattr(a, field) for field in type(a).__slots__}
+    twin = type("LookAlike", (type(a),), {})(*fields.values())
     assert all(getattr(twin, field) == value for field, value in fields.items())
     assert a != twin and twin != a
     assert a != tuple(fields.values())
@@ -153,7 +174,7 @@ def test_other_classes_never_equal(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_assignment_and_deletion_raise(name):
     a = CASES[name][0]()
-    field = FIELDS[name][0]
+    field = type(a).__slots__[0]
     before = getattr(a, field)
     with pytest.raises(AttributeError):
         setattr(a, field, before)
@@ -170,6 +191,24 @@ def test_copy_and_pickle_round_trip(name):
     a = positional()
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert twin == a and hash(twin) == hash(a) and repr(twin) == text
+
+
+def test_hashes_read_the_fields():
+    m = CASES["IntMatrix"][0]()
+    assert hash(m) == hash((m.rows, m.cols, m.entries))
+    assert hash(HOMOLOGY) == hash(HOMOLOGY.items())
+    # a stored identity acts like a missing degree, in equality and hash alike
+    padded = GradedAction({1: IntMatrix.identity(3), 3: SPIN.matrix(3)})
+    assert padded == SPIN and hash(padded) == hash(SPIN)
+
+
+def test_preset_matrices_cannot_be_rebound():
+    matrix = graph_preset("a2-3pt-n1").h1_actions[0][1]
+    before = (matrix.entries, hash(matrix))
+    with pytest.raises(AttributeError):
+        matrix.entries = (0,) * len(matrix.entries)
+    assert graph_preset("a2-3pt-n1").h1_actions[0][1] is matrix
+    assert (matrix.entries, hash(matrix)) == before
 
 
 def test_defaults():
@@ -207,6 +246,12 @@ def test_normalisation_makes_tuples():
      "invalid plumbing graph: dimension must be an integer >= 1, got 0"),
     (lambda: PlumbingGraph(1, ("t1", "t2"), (("t1", "t2", 1),), {"t1": H1}),
      "invalid plumbing graph: h1_action for 't1' must be 2x2, got 4x4"),
+    (lambda: PlumbingGraph(1, ("a", "b"), [("a", "b", 1)], {"a": [[1, 0], [0, 1]]}),
+     "invalid plumbing graph: h1_action for 'a' must be a square IntMatrix"),
+    (lambda: GradedGroup({0: 5}), "degree 0 group must be an AbelianGroup"),
+    (lambda: GradedAction({3: [[1]]}), "degree 3 map must be a square IntMatrix"),
+    (lambda: Representation(1, [1, 2]), "assignment 0 must be a GradedAction"),
+    (lambda: Representation(1, [SPIN, None]), "assignment 1 must be a GradedAction"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as excinfo:
