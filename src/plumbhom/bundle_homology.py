@@ -122,21 +122,29 @@ def _changed_degrees(degrees: Iterable[int]) -> list[int]:
 
 
 def _total_groups(
-    pieces: dict[int, tuple[AbelianGroup, int]], degrees: Iterable[int]
-) -> dict[int, AbelianGroup]:
-    """H_j(E) = coker D_j + Z^(kernel rank of D_{j-1}) for each j in degrees, in order."""
+    pieces: dict[int, tuple[AbelianGroup, int]], degrees: Iterable[int],
+    groups: dict[int, AbelianGroup],
+) -> None:
+    """Set H_j(E) = coker D_j + Z^(kernel rank of D_{j-1}) in ``groups`` for each j in degrees.
+
+    A group equal to the one ``groups`` holds keeps that object, and a
+    cokernel with no kernel term is the group itself.
+    """
     # every piece was checked where it was built, so the sums need no check
-    groups = {}
     for k in degrees:
         coker = pieces.get(k, _NO_PIECE)[0]
-        free = coker.free_rank + pieces.get(k - 1, _NO_PIECE)[1]
-        groups[k] = AbelianGroup._unchecked(free, coker.invariant_factors)
-    return groups
+        kernel = pieces.get(k - 1, _NO_PIECE)[1]
+        free, factors = coker.free_rank + kernel, coker.invariant_factors
+        held = groups.get(k)
+        if held is None or held.free_rank != free or held.invariant_factors != factors:
+            groups[k] = AbelianGroup._unchecked(free, factors) if kernel else coker
 
 
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
     pieces = wang_pieces(base, monodromies)
-    return GradedGroup._unchecked(_total_groups(pieces, _changed_degrees(pieces)))
+    groups: dict[int, AbelianGroup] = {}
+    _total_groups(pieces, _changed_degrees(pieces), groups)
+    return GradedGroup._unchecked(groups)
 
 
 def mapping_torus_homology(base: GradedGroup, phi: GradedAction) -> GradedGroup:

@@ -210,15 +210,14 @@ def _fillings_csv(report: FillingReport) -> str:
 def _cells(entries, fmt):
     """Yield each entry with ``fmt(k, g)`` for its degrees k and groups g, in order.
 
-    A degree whose group is the object the entry before held keeps its text:
-    the degrees a member does not change hold member 1's groups, so theirs
-    is made once (identity, not equality: hashing a group costs more than
-    formatting it).
+    A degree whose group is the object the entry before held keeps its text;
+    the family keeps a degree's object while its value stays (identity, not
+    equality: hashing a group costs more than formatting it).
     """
     held: dict[int, tuple[AbelianGroup, str]] = {}
     for e in entries:
         cells = []
-        for k, g in e.homology.items():
+        for k, g in e.homology._groups.items():
             last = held.get(k)
             if last is None or last[0] is not g:
                 last = held[k] = g, fmt(k, g)
@@ -257,7 +256,16 @@ def _cmd_fillings(args) -> tuple[int, str]:
     if args.kmax < 1:
         raise ValueError("--kmax must be at least 1")
     report = filling_family(_load_graph(args), parse_word(args.word), args.kmax)
-    return 0, _FILLINGS_TEXT[args.format](report)
+    # torsion passes Python's 4,300-digit int-to-str limit (3.10.7 on) as k
+    # grows; the input was parsed under it, so lift it only to render
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return 0, _FILLINGS_TEXT[args.format](report)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return 0, _FILLINGS_TEXT[args.format](report)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_snf(args) -> tuple[int, str]:

@@ -16,11 +16,13 @@ once per family, so each member costs one small product per moving degree
 (``row_product``) and one reduction of D_d, built as rows by the same
 ``_wang_piece`` as member 1. Only the changed degrees, d and d + 1 for each
 moving d (cokernel in d, kernel rank one degree up), fixed once per family,
-are rebuilt; every other degree keeps member 1's group object. So a member's
-class is keyed on its changed degrees' groups alone, a key that agrees with
-equality of the whole graded group (``classify_distinct`` gives the same ids
-from the graded groups). The boundary condition [phi^k, Id] = Id holds for
-every k, so it is checked once and its outcome put on every entry.
+are rebuilt; every other degree keeps member 1's group object, and a
+changed degree whose value stays keeps its object too, so the renderer
+formats each distinct group once. A member's class is keyed on its changed
+degrees' groups alone, a key that agrees with equality of the whole graded
+group (``classify_distinct`` gives the same ids from the graded groups). The
+boundary condition [phi^k, Id] = Id holds for every k, so it is checked once
+and its outcome put on every entry.
 
 ``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
 eigenvalues l, 1/l the torsion cardinality is |det(M^k - I)| = |2 - t_k|,
@@ -85,7 +87,8 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     # member k = 1 checks phi and gives the pieces every later member reuses
     ok = boundary_check(Representation(1, (generator, IDENTITY_ACTION))).ok
     pieces = wang_pieces(base, [generator, IDENTITY_ACTION])
-    groups = _total_groups(pieces, _changed_degrees(pieces))
+    groups: dict[int, AbelianGroup] = {}
+    _total_groups(pieces, _changed_degrees(pieces), groups)
     # phi^k_d as rows, advanced by phi_d's columns, sliced once
     powers = {d: m.to_rows() for d, m in generator.items() if d in pieces}
     columns = {d: list(zip(*rows)) for d, rows in powers.items()}
@@ -98,10 +101,9 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
                 power = powers[d] = row_product(powers[d], cols)
                 # the identity partner stores no block: m = 2 with phi^k_d alone
                 pieces[d] = _wang_piece((power,), len(power), 2)
-        update = _total_groups(pieces, changed)
-        groups.update(update)
+            _total_groups(pieces, changed, groups)
         # every other degree holds member 1's group, so this key is graded equality
-        class_id = classes.setdefault(tuple(update.values()), len(classes) + 1)
+        class_id = classes.setdefault(tuple([groups[d] for d in changed]), len(classes) + 1)
         homology = GradedGroup._unchecked(groups)
         torsion = homology.group(degree)
         entries.append(FillingEntry(k, homology, torsion.invariant_factors,

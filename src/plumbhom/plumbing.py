@@ -93,7 +93,8 @@ class GradedGroup(Frozen):
     def _unchecked(cls, groups: dict[int, AbelianGroup]) -> "GradedGroup":
         """Wrap groups keyed by ascending degrees >= 0; trivial ones dropped as in ``__init__``."""
         g = object.__new__(cls)
-        object.__setattr__(g, "_groups", {k: a for k, a in groups.items() if not a.is_trivial()})
+        set_groups, = cls._setters
+        set_groups(g, {k: a for k, a in groups.items() if a.free_rank or a.invariant_factors})
         return g
 
     def group(self, degree: int) -> AbelianGroup:

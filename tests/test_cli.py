@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,10 @@ import pytest
 import plumbhom.cli as cli
 import plumbhom.exact_linalg as exact_linalg
 from plumbhom.cli import run
+from plumbhom.distinguisher import filling_family
 from plumbhom.exact_linalg import IntMatrix, snf
+from plumbhom.presets import graph_preset
+from plumbhom.twist_engine import parse_word
 
 A2_N3_DOC = {
     "dimension": 3,
@@ -394,6 +398,53 @@ class TestFillings:
         assert code == 0
         payload = json.loads(out)
         assert all(e["boundary_ok"] for e in payload["entries"])
+
+    def test_each_distinct_group_is_rendered_once(self):
+        # phi = t1 moves degree 3 only: H3 changes with every k, and every
+        # other degree keeps its group object, so its text is made once
+        report = filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 50)
+        calls = Counter()
+
+        def counting(k, g):
+            calls[k] += 1
+            return str(g)
+
+        rows = [cells for _, cells in cli._cells(report.entries, counting)]
+        assert dict(calls) == {0: 1, 1: 1, 2: 1, 3: 50, 4: 1}
+        assert rows == [[str(g) for _, g in e.homology.items()] for e in report.entries]
+
+    def test_output_passes_the_digit_limit(self, capsys):
+        # with a 10^300 exponent the degree-3 torsion factors pass 4,300
+        # digits by k = 16; every format prints them, and they agree
+        e = 10**300
+        argv = ["fillings", "--preset", "a2-3pt-n3", "--word", f"t1^{e} t2^-{e}", "--kmax", "16"]
+        outputs = {}
+        limit = sys.get_int_max_str_digits()
+        for fmt in ("json", "csv", "table"):
+            code, outputs[fmt], err = invoke(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+        entries = json.loads(outputs["json"], parse_int=str)["entries"]
+        factors = [e["torsion_factors"] for e in entries]
+        assert max(len(d) for d in factors[-1]) > 4300
+        assert len(entries[-1]["torsion_cardinality"]) > 4300
+        csv_rows = [row.split(",") for row in outputs["csv"].splitlines()[1:]]
+        assert [row[3].split("|") for row in csv_rows if row[1] == "3"] == factors
+        table_rows = [row.split() for row in outputs["table"].splitlines() if row.startswith("k=")]
+        assert [row[2] for row in table_rows] == [
+            "torsion=" + "+".join(f"Z/{d}" for d in ds) for ds in factors]
+
+    def test_input_keeps_the_digit_limit(self, capsys, tmp_path):
+        big = "1" + "0" * 5000
+        code, out, err = invoke(capsys, "snf", "--matrix", f"[[{big}]]")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "limit" in err
+        graph = tmp_path / "big.json"
+        graph.write_text(_doc(dimension=0).replace('"dimension": 0', f'"dimension": {big}'))
+        code, out, err = invoke(capsys, "fillings", "--graph", str(graph), "--word", "L1",
+                                "--kmax", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "limit" in err
 
     def test_kmax_required_and_validated(self, capsys):
         code, _, err = invoke(capsys, "fillings", "--preset", "a2-3pt-n3", "--word", "t1")

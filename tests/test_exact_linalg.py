@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -40,8 +41,9 @@ from plumbhom.exact_linalg import (
     snf,
 )
 from plumbhom.distinguisher import filling_family
+from plumbhom.plumbing import parse_graph
 from plumbhom.presets import graph_preset
-from plumbhom.twist_engine import GradedAction, parse_word
+from plumbhom.twist_engine import GradedAction, parse_word, word_action
 
 
 def _random_matrix(rng: random.Random, max_dim: int = 5, span: int = 9) -> IntMatrix:
@@ -260,6 +262,40 @@ class TestSmithInvariants:
         assert not hasattr(twist_engine, "snf")
         report = filling_family(graph_preset("a2-3pt-n2"), parse_word("t1 t2"), 12)
         assert [e.torsion_cardinality for e in report.entries][:3] == [5, 45, 320]
+
+
+A20_CHAIN = Path(__file__).resolve().parent / "golden" / "a20-chain-n3.graph.json"
+GROWTH_WORDS = {
+    "squared": (" ".join(f"v{i}^2" for i in range(20)), 8),
+    "alternating": (" ".join(f"v{i}^{(-1) ** i}" for i in range(20)), 25),
+}
+GROWTH_BITS = 64_000
+
+
+class TestEntryGrowth:
+    @pytest.mark.parametrize("name", GROWTH_WORDS)
+    def test_pivot_steps_stay_near_the_invariants(self, monkeypatch, name):
+        # D_k = phi^k - I on the A_20 chain: the orientation of the block
+        # between pivot steps chooses the pivots, and a wrong one sends the
+        # entries to hundreds of thousands of bits within a few k (the
+        # transposing route peaks near 24k bits here)
+        word, k_max = GROWTH_WORDS[name]
+        phi = word_action(parse_graph(A20_CHAIN.read_text()), parse_word(word)).matrix(3)
+        step = exact_linalg._eliminate_pivot
+
+        def bounded(block, sides):
+            pivot = step(block, sides)
+            bits = max((abs(e).bit_length() for r in block for e in r), default=0)
+            if bits > GROWTH_BITS:
+                raise AssertionError(f"a pivot step left a {bits}-bit entry")
+            return pivot
+
+        monkeypatch.setattr(exact_linalg, "_eliminate_pivot", bounded)
+        for k in range(1, k_max + 1):
+            d_k = mat_sub(mat_pow(phi, k), IntMatrix.identity(20))
+            invariants = smith_invariants(d_k)
+            if len(invariants) == 20:
+                assert prod(invariants) == abs(det(d_k))
 
 
 def _unit_sides(rows: int, cols: int) -> list[list[list[int]]]:

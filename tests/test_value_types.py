@@ -186,6 +186,18 @@ def test_assignment_and_deletion_raise(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_set_takes_one_value_per_field(name):
+    a = CASES[name][0]()
+    fields = [getattr(a, field) for field in type(a).__slots__]
+    for values in (fields[:-1], fields + [None]):
+        with pytest.raises(ValueError, match="fields"):
+            object.__new__(type(a))._set(*values)
+    twin = object.__new__(type(a))
+    twin._set(*fields)
+    assert twin == a
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_copy_and_pickle_round_trip(name):
     positional, _, text, _ = CASES[name]
     a = positional()
