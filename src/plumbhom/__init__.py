@@ -11,7 +11,6 @@ from .bundle_homology import (
 from .distinguisher import (
     FillingEntry,
     FillingReport,
-    classify_distinct,
     filling_family,
     torsion_closed_form,
 )
@@ -22,12 +21,9 @@ from .exact_linalg import (
     cokernel_group,
     det,
     format_matrix,
-    kernel_rank,
     mat_mul,
     mat_pow,
-    mat_sub,
     parse_matrix,
-    rank,
     smith_invariants,
     snf,
 )
@@ -48,7 +44,6 @@ from .twist_engine import (
     IDENTITY_ACTION,
     TwistWord,
     parse_word,
-    twist_matrix,
     word_action,
 )
 
@@ -71,7 +66,6 @@ __all__ = [
     "TwistWord",
     "base_homology",
     "boundary_check",
-    "classify_distinct",
     "cokernel_group",
     "det",
     "filling_family",
@@ -80,20 +74,16 @@ __all__ = [
     "graph_preset",
     "graph_to_json",
     "intersection_form",
-    "kernel_rank",
     "mapping_torus_homology",
     "mat_mul",
     "mat_pow",
-    "mat_sub",
     "parse_graph",
     "parse_matrix",
     "parse_word",
-    "rank",
     "smith_invariants",
     "snf",
     "surface_bundle_homology",
     "torsion_closed_form",
-    "twist_matrix",
     "validate",
     "wang_pieces",
     "word_action",

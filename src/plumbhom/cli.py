@@ -39,7 +39,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add_common(p, graph=True, word=False, kmax=False, matrix=False):
+    def add_common(name, summary, handler, graph=True, word=False, kmax=False, matrix=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if graph:
             src = p.add_mutually_exclusive_group(required=True)
             src.add_argument("--graph", metavar="PATH", help="graph file (JSON)")
@@ -53,19 +55,16 @@ def _build_parser() -> _Parser:
                            help='matrix literal, e.g. "[[7,3],[-3,-2]]"')
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+        return p
 
-    p = sub.add_parser("validate", help="check a graph and optionally echo it")
-    add_common(p)
+    p = add_common("validate", "check a graph and optionally echo it", _cmd_validate)
     p.add_argument("--emit", action="store_true", help="echo the canonical graph JSON")
-
-    add_common(sub.add_parser("form", help="intersection form of the plumbing"))
-    add_common(sub.add_parser("homology", help="graded homology of the plumbing"))
-    add_common(sub.add_parser("twist", help="homology action of a twist word"), word=True)
-    add_common(sub.add_parser("torus", help="homology of the mapping torus of a word"), word=True)
-    add_common(sub.add_parser("fillings", help="k-indexed filling family report"),
-               word=True, kmax=True)
-    add_common(sub.add_parser("snf", help="Smith normal form of a matrix literal"),
-               graph=False, matrix=True)
+    add_common("form", "intersection form of the plumbing", _cmd_form)
+    add_common("homology", "graded homology of the plumbing", _cmd_homology)
+    add_common("twist", "homology action of a twist word", _cmd_twist, word=True)
+    add_common("torus", "homology of the mapping torus of a word", _cmd_torus, word=True)
+    add_common("fillings", "k-indexed filling family report", _cmd_fillings, word=True, kmax=True)
+    add_common("snf", "Smith normal form of a matrix literal", _cmd_snf, graph=False, matrix=True)
     return parser
 
 
@@ -90,6 +89,23 @@ def _write(text: str, out_path: str | None) -> None:
                 handle.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
+
+
+def _render(render, *args) -> str:
+    """``render(*args)`` with Python's int-to-str digit limit lifted.
+
+    Outputs pass the 4,300-digit limit (3.10.7 on) as entries grow: torsion
+    with k, twist entries with exponents, Smith transforms with the input.
+    The input was parsed under the limit, so it is lifted only to render.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return render(*args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _json_dumps(obj) -> str:
@@ -169,7 +185,7 @@ def _cmd_twist(args) -> tuple[int, str]:
     # a word acts in exactly one degree
     (degree, matrix), = word_action(graph, parse_word(args.word)).items()
     payload = {"word": args.word, "degrees": [{"degree": degree, "matrix": matrix.to_rows()}]}
-    return 0, _matrix_text(matrix, args.format, payload)
+    return 0, _render(_matrix_text, matrix, args.format, payload)
 
 
 def _cmd_torus(args) -> tuple[int, str]:
@@ -256,45 +272,28 @@ def _cmd_fillings(args) -> tuple[int, str]:
     if args.kmax < 1:
         raise ValueError("--kmax must be at least 1")
     report = filling_family(_load_graph(args), parse_word(args.word), args.kmax)
-    # torsion passes Python's 4,300-digit int-to-str limit (3.10.7 on) as k
-    # grows; the input was parsed under it, so lift it only to render
-    if not hasattr(sys, "get_int_max_str_digits"):
-        return 0, _FILLINGS_TEXT[args.format](report)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return 0, _FILLINGS_TEXT[args.format](report)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    return 0, _render(_FILLINGS_TEXT[args.format], report)
+
+
+def _snf_text(m, fmt: str) -> str:
+    if fmt == "csv":  # S alone, with no transforms built
+        return _matrix_csv(smith_form(m))
+    result = snf(m)
+    parts = {"S": result.S, "U": result.U, "V": result.V}
+    if fmt == "table":
+        return "".join(f"{name} = {format_matrix(x)}\n" for name, x in parts.items())
+    return _json_dumps({name: x.to_rows() for name, x in parts.items()})
 
 
 def _cmd_snf(args) -> tuple[int, str]:
-    m = parse_matrix(args.matrix)
-    if args.format == "csv":  # S alone, with no transforms built
-        return 0, _matrix_csv(smith_form(m))
-    result = snf(m)
-    parts = {"S": result.S, "U": result.U, "V": result.V}
-    if args.format == "table":
-        return 0, "".join(f"{name} = {format_matrix(x)}\n" for name, x in parts.items())
-    return 0, _json_dumps({name: x.to_rows() for name, x in parts.items()})
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "form": _cmd_form,
-    "homology": _cmd_homology,
-    "twist": _cmd_twist,
-    "torus": _cmd_torus,
-    "fillings": _cmd_fillings,
-    "snf": _cmd_snf,
-}
+    return 0, _render(_snf_text, parse_matrix(args.matrix), args.format)
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, text = _COMMANDS[args.command](args)
+        code, text = args.handler(args)
         _write(text, args.out)  # the one place a command's output leaves the program
         return code
     except SystemExit as exc:

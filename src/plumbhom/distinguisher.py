@@ -20,9 +20,9 @@ are rebuilt; every other degree keeps member 1's group object, and a
 changed degree whose value stays keeps its object too, so the renderer
 formats each distinct group once. A member's class is keyed on its changed
 degrees' groups alone, a key that agrees with equality of the whole graded
-group (``classify_distinct`` gives the same ids from the graded groups). The
-boundary condition [phi^k, Id] = Id holds for every k, so it is checked once
-and its outcome put on every entry.
+group (numbering the whole graded groups by first occurrence gives the same
+ids, which the tests check). The boundary condition [phi^k, Id] = Id holds
+for every k, so it is checked once and its outcome put on every entry.
 
 ``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
 eigenvalues l, 1/l the torsion cardinality is |det(M^k - I)| = |2 - t_k|,
@@ -31,8 +31,6 @@ recurrence stays in exact integers throughout.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from .bundle_homology import (
     Representation,
@@ -118,12 +116,6 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
         distinct_classes=len(classes),
         trivial_torsion_ks=tuple(e.k for e in entries if e.torsion_cardinality == 1),
     )
-
-
-def classify_distinct(reports: Sequence[GradedGroup]) -> list[int]:
-    """Class ids (1-based, numbered by first occurrence) under exact equality."""
-    seen: dict[GradedGroup, int] = {}
-    return [seen.setdefault(group, len(seen) + 1) for group in reports]
 
 
 def torsion_closed_form(action: IntMatrix, k: int) -> int:

@@ -43,15 +43,15 @@ route, that the diagonal of S multiplies to |d|; together these force
 det U, det V = +-1. A failed check raises ``RuntimeError``.
 ``smith_rows`` passes zero-width transforms and returns only the nonzero
 Smith diagonal of a matrix given as rows; ``cokernel_rows`` reads a cokernel
-from it. ``smith_invariants`` and ``cokernel_group`` (and through them
-``rank``, ``kernel_rank`` and ``smith_form``) hand them an ``IntMatrix``'s
-rows; the Wang pieces of ``bundle_homology`` (every filling-family member
-among them) hand their difference blocks over as rows directly. A block
-with at most two rows or two columns goes on entry to the determinantal
-finish (gcd of the entries, gcd of the 2x2 minors). A larger one is
-transposed between pivot steps, dropping zero rows and columns: the tie
-rule reads the block as it lies, so its orientation chooses the pivots,
-and with them how far the entries grow.
+from it. ``smith_invariants`` and ``cokernel_group`` (and through the first
+``smith_form``, which lays the invariants on a diagonal; a rank is their
+count) hand them an ``IntMatrix``'s rows; the Wang pieces of
+``bundle_homology`` (every filling-family member among them) hand their
+difference blocks over as rows directly. A block with at most two rows or
+two columns goes on entry to the determinantal finish (gcd of the entries,
+gcd of the 2x2 minors). A larger one is transposed between pivot steps,
+dropping zero rows and columns: the tie rule reads the block as it lies, so
+its orientation chooses the pivots, and with them how far the entries grow.
 
 One elimination gives every determinant: ``det_adjugate``, fraction-free
 Gauss-Jordan, exact at every step with polynomially bounded intermediates.
@@ -61,9 +61,10 @@ and ``GradedAction.inverse`` reads m^-1 = det(m) adj(m).
 Entries are checked where they enter the program: the public ``IntMatrix``
 constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
 ``from_rows``) reject anything but plain ints. Results computed from matrices
-that were already checked (``mat_mul``, ``mat_sub``, ``transpose``,
-``identity``, ``zero``, the Wang blocks D_k) hold ints by construction and are
-built through ``IntMatrix._unchecked``, which skips the per-entry check.
+that were already checked (``mat_mul``, ``transpose``, ``identity``, the
+Smith diagonal of ``smith_form``, the word actions and inverses of
+``twist_engine``) hold ints by construction and are built through
+``IntMatrix._unchecked``, which skips the per-entry check.
 
 ``Frozen`` is the one base of the package's ten immutable value types
 (``IntMatrix`` and ``AbelianGroup`` here; ``PlumbingGraph``, ``GradedGroup``,
@@ -87,7 +88,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd, prod
-from operator import attrgetter, mul, sub
+from operator import attrgetter, mul
 
 
 class Frozen:
@@ -188,10 +189,6 @@ class IntMatrix(Frozen):
     def identity(cls, n: int) -> "IntMatrix":
         entries = tuple([1 if i == j else 0 for i in range(n) for j in range(n)])
         return cls._unchecked(n, n, entries)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._unchecked(rows, cols, (0,) * (rows * cols))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -422,10 +419,6 @@ def _diagonal(diag: list[int], rows: int, cols: int) -> IntMatrix:
     return IntMatrix._unchecked(rows, cols, tuple(entries))
 
 
-def smith_diagonal(s: IntMatrix) -> list[int]:
-    return [s.entry(i, i) for i in range(min(s.rows, s.cols))]
-
-
 def smith_invariants(m: IntMatrix) -> list[int]:
     """Nonzero Smith diagonal of m in divisor-chain order, without transforms.
 
@@ -576,16 +569,6 @@ def _check_invariants(diag: list[int], bound: int) -> None:
         last = d
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals (equivalently over Z), via the Smith invariants."""
-    return len(smith_invariants(m))
-
-
-def kernel_rank(m: IntMatrix) -> int:
-    """Rank of the integer kernel of m (free, as a subgroup of Z^cols)."""
-    return m.cols - rank(m)
-
-
 def cokernel_group(m: IntMatrix) -> AbelianGroup:
     """Z^rows / image(m) in canonical form, from ``smith_invariants`` alone.
 
@@ -637,12 +620,6 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
         if k:
             base = mat_mul(base, base)
     return result
-
-
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return IntMatrix._unchecked(a.rows, a.cols, tuple(map(sub, a.entries, b.entries)))
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -112,9 +112,6 @@ class GradedGroup(Frozen):
     def is_free(self) -> bool:
         return all(not g.invariant_factors for g in self._groups.values())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * g.free_rank for k, g in self._groups.items())
-
     def __hash__(self) -> int:
         return hash(tuple(self._groups.items()))
 

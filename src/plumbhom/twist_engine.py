@@ -177,16 +177,6 @@ class GradedAction(Frozen):
 IDENTITY_ACTION = GradedAction({})
 
 
-def twist_matrix(graph: PlumbingGraph, vertex: str) -> GradedAction:
-    """Homology action of the twist along one plumbing sphere.
-
-    Identity in every degree except the middle one; there, column i is the
-    reflection image of the i-th sphere class. For dimension 1 the matrix is
-    looked up from the graph's ``h1_actions`` (see module docstring).
-    """
-    return word_action(graph, TwistWord(((vertex, 1),)))
-
-
 def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     """Composite action of a twist word, leftmost letter applied last.
 

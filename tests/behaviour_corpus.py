@@ -2,7 +2,10 @@
 pinned by exit code and the SHA-256 of its stdout and stderr.
 
 ``corpus/argv.jsonl`` holds one invocation per line as a JSON array of
-arguments; graph paths in it are relative to the repository root.
+arguments; graph paths in it are relative to the repository root. Most lines
+start with a subcommand; the last few pin help and usage text (``--help``
+for the program and each subcommand, no subcommand, an unknown one, and a
+missing required flag).
 ``corpus/digest.txt`` holds, line for line, ``<exit code> <sha256 of stdout>
 <sha256 of stderr>``. ``test_behaviour_corpus.py`` runs every line in-process
 through ``plumbhom.cli.run`` and compares. A deliberate output change is made
@@ -36,17 +39,26 @@ def load_digest() -> list[str]:
 
 
 def digest_line(argv: list[str]) -> str:
-    """Run one invocation in-process from the repository root and digest it."""
+    """Run one invocation in-process from the repository root and digest it.
+
+    ``COLUMNS`` is pinned to 80, since argparse wraps help and usage text to
+    the terminal width.
+    """
     from plumbhom.cli import run
 
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(list(argv))
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return " ".join([str(code), *(
         hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err)
     )])

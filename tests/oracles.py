@@ -9,6 +9,15 @@ two routes stay separate.
 * ``smith_diagonal_by_minors`` recovers the Smith diagonal from determinantal
   divisors: d_k = gcd of all k x k minors, k-th diagonal entry = d_k / d_{k-1}.
   Exponential in the matrix size, which is fine for the small inputs used here.
+
+Three readers of plumbhom's own values take them as plain arguments, so this
+module still imports nothing from it:
+
+* ``smith_diagonal`` reads the diagonal of an ``IntMatrix`` S, zeros included.
+* ``euler_characteristic`` is the alternating sum of a ``GradedGroup``'s free
+  ranks.
+* ``classify_distinct`` numbers graded groups 1, 2, ... by first occurrence
+  under exact equality: the class ids ``filling_family`` must give.
 """
 
 from __future__ import annotations
@@ -71,6 +80,19 @@ def smith_diagonal_by_minors(rows: list[list[int]]) -> list[int]:
 
 def rank_by_minors(rows: list[list[int]]) -> int:
     return sum(1 for d in smith_diagonal_by_minors(rows) if d != 0)
+
+
+def smith_diagonal(s) -> list[int]:
+    return [s.entry(i, i) for i in range(min(s.rows, s.cols))]
+
+
+def euler_characteristic(graded) -> int:
+    return sum((-1) ** k * g.free_rank for k, g in graded.items())
+
+
+def classify_distinct(groups) -> list[int]:
+    seen: dict = {}
+    return [seen.setdefault(group, len(seen) + 1) for group in groups]
 
 
 def mul_2x2(a, b):

@@ -21,10 +21,12 @@ def test_corpus_matches_digest():
 
 def test_corpus_covers_every_subcommand_and_format():
     cases = load_argv()
-    commands = {argv[0] for argv in cases}
-    assert commands == {"validate", "form", "homology", "twist", "torus", "fillings", "snf"}
-    for command in commands - {"validate"}:
+    subcommands = {"validate", "form", "homology", "twist", "torus", "fillings", "snf"}
+    # the help and usage lines start with a flag, an unknown name or nothing
+    commands = {argv[0] for argv in cases if argv and argv[0] in subcommands}
+    assert commands == subcommands
+    for command in commands:
         formats = {argv[argv.index("--format") + 1] for argv in cases
-                   if argv[0] == command and "--format" in argv}
+                   if argv[:1] == [command] and "--format" in argv}
         assert formats == {"table", "csv", "json"}, command
     assert len(set(map(tuple, cases))) == len(cases)

@@ -434,11 +434,48 @@ class TestFillings:
         assert [row[2] for row in table_rows] == [
             "torsion=" + "+".join(f"Z/{d}" for d in ds) for ds in factors]
 
+    def test_snf_output_passes_the_digit_limit(self, capsys):
+        # each entry parses under the limit; det = 10^5000 - 1 passes it
+        b = 10**2500
+        limit = sys.get_int_max_str_digits()
+        outputs = {}
+        for fmt in ("json", "csv", "table"):
+            code, outputs[fmt], err = invoke(capsys, "snf", "--matrix", f"[[{b},1],[1,{b}]]",
+                                             "--format", fmt)
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(outputs["json"], parse_int=str)
+        assert payload["S"] == [["1", "0"], ["0", "9" * 5000]]
+        assert outputs["csv"] == "".join(",".join(r) + "\n" for r in payload["S"])
+        assert outputs["table"] == "".join(
+            f"{name} = [" + ",".join("[" + ",".join(r) + "]" for r in payload[name]) + "]\n"
+            for name in "SUV")
+
+    def test_twist_output_passes_the_digit_limit(self, capsys):
+        # T1^E T2^-E = [[1 + 9E^2, -3E], [-3E, 1]]: 9E^2 has 8,001 digits
+        e = 10**4000
+        argv = ["twist", "--preset", "a2-3pt-n3", "--word", f"t1^{e} t2^-{e}"]
+        limit = sys.get_int_max_str_digits()
+        outputs = {}
+        for fmt in ("json", "csv", "table"):
+            code, outputs[fmt], err = invoke(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+        rows = [["9" + "0" * 7999 + "1", "-3" + "0" * 4000], ["-3" + "0" * 4000, "1"]]
+        payload = json.loads(outputs["json"], parse_int=str)
+        assert payload["degrees"] == [{"degree": "3", "matrix": rows}]
+        assert outputs["csv"] == "".join(",".join(r) + "\n" for r in rows)
+        assert outputs["table"] == "[" + ",".join("[" + ",".join(r) + "]" for r in rows) + "]\n"
+
     def test_input_keeps_the_digit_limit(self, capsys, tmp_path):
         big = "1" + "0" * 5000
-        code, out, err = invoke(capsys, "snf", "--matrix", f"[[{big}]]")
+        for fmt in ("table", "csv", "json"):
+            code, out, err = invoke(capsys, "snf", "--matrix", f"[[{big}]]", "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and "limit" in err
+        code, out, err = invoke(capsys, "twist", "--preset", "a2-3pt-n3", "--word", f"t1^{big}")
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and "limit" in err
+        assert err.startswith("error: bad exponent in token")
         graph = tmp_path / "big.json"
         graph.write_text(_doc(dimension=0).replace('"dimension": 0', f'"dimension": {big}'))
         code, out, err = invoke(capsys, "fillings", "--graph", str(graph), "--word", "L1",

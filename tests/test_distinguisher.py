@@ -9,9 +9,9 @@ import pytest
 
 import plumbhom.bundle_homology as bundle_homology
 import plumbhom.distinguisher as distinguisher
-from oracles import cofactor_det, pow_square
+from oracles import classify_distinct, cofactor_det, pow_square
 from plumbhom.bundle_homology import Representation, boundary_check, surface_bundle_homology
-from plumbhom.distinguisher import classify_distinct, filling_family, torsion_closed_form
+from plumbhom.distinguisher import filling_family, torsion_closed_form
 from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_rows, mat_pow
 from plumbhom.plumbing import GradedGroup, PlumbingGraph, base_homology
 from plumbhom.presets import GRAPH_PRESETS, graph_preset

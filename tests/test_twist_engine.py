@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from operator import sub
 
 import pytest
 
 import plumbhom.exact_linalg as exact_linalg
 import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det
-from plumbhom.exact_linalg import IntMatrix, mat_mul, mat_sub
+from plumbhom.exact_linalg import IntMatrix, mat_mul
 from plumbhom.plumbing import PlumbingGraph, intersection_form
 from plumbhom.presets import graph_preset
 from plumbhom.twist_engine import (
@@ -17,7 +18,6 @@ from plumbhom.twist_engine import (
     IDENTITY_ACTION,
     TwistWord,
     parse_word,
-    twist_matrix,
     word_action,
 )
 from test_plumbing import A2_3PT_N2, A2_3PT_N3, SINGLE_N3, random_graph
@@ -25,47 +25,53 @@ from test_plumbing import A2_3PT_N2, A2_3PT_N3, SINGLE_N3, random_graph
 
 class TestTwistMatrix:
     def test_odd_dimension_pair(self):
-        assert twist_matrix(A2_3PT_N3, "L1").matrix(3).to_rows() == [[1, -3], [0, 1]]
-        assert twist_matrix(A2_3PT_N3, "L2").matrix(3).to_rows() == [[1, 0], [3, 1]]
+        t1 = word_action(A2_3PT_N3, TwistWord((("L1", 1),)))
+        t2 = word_action(A2_3PT_N3, TwistWord((("L2", 1),)))
+        assert t1.matrix(3).to_rows() == [[1, -3], [0, 1]]
+        assert t2.matrix(3).to_rows() == [[1, 0], [3, 1]]
 
     def test_even_dimension_pair(self):
-        assert twist_matrix(A2_3PT_N2, "L1").matrix(2).to_rows() == [[-1, -3], [0, 1]]
-        assert twist_matrix(A2_3PT_N2, "L2").matrix(2).to_rows() == [[1, 0], [-3, -1]]
+        t1 = word_action(A2_3PT_N2, TwistWord((("L1", 1),)))
+        t2 = word_action(A2_3PT_N2, TwistWord((("L2", 1),)))
+        assert t1.matrix(2).to_rows() == [[-1, -3], [0, 1]]
+        assert t2.matrix(2).to_rows() == [[1, 0], [-3, -1]]
 
     def test_same_matrices_in_higher_dimensions(self):
         # the reflection only depends on the parity of the sphere dimension
         a2_n5 = PlumbingGraph(5, ("L1", "L2"), (("L1", "L2", 1),) * 3)
         a2_n4 = PlumbingGraph(4, ("L1", "L2"), (("L1", "L2", 1),) * 3)
-        assert twist_matrix(a2_n5, "L1").matrix(5).to_rows() == [[1, -3], [0, 1]]
-        assert twist_matrix(a2_n4, "L1").matrix(4).to_rows() == [[-1, -3], [0, 1]]
+        odd = word_action(a2_n5, TwistWord((("L1", 1),)))
+        even = word_action(a2_n4, TwistWord((("L1", 1),)))
+        assert odd.matrix(5).to_rows() == [[1, -3], [0, 1]]
+        assert even.matrix(4).to_rows() == [[-1, -3], [0, 1]]
 
     def test_single_vertex_odd_is_homologically_trivial(self):
-        action = twist_matrix(SINGLE_N3, "L1")
+        action = word_action(SINGLE_N3, TwistWord((("L1", 1),)))
         assert action.matrix(3).to_rows() == [[1]]
         assert action.is_identity()
 
     def test_identity_away_from_middle_degree(self):
-        action = twist_matrix(A2_3PT_N3, "L1")
+        action = word_action(A2_3PT_N3, TwistWord((("L1", 1),)))
         assert action.degrees() == (3,)
         assert action.matrix(1, 2).is_identity()
 
     def test_unknown_vertex(self):
         with pytest.raises(ValueError, match="unknown vertex"):
-            twist_matrix(A2_3PT_N3, "L9")
+            word_action(A2_3PT_N3, TwistWord((("L9", 1),)))
         with pytest.raises(ValueError, match="^empty vertex label in word$"):
-            twist_matrix(A2_3PT_N3, "")
+            word_action(A2_3PT_N3, TwistWord((("", 1),)))
 
     def test_dimension_one_needs_preset_or_h1_action(self):
         graph = PlumbingGraph(1, ("L1", "L2"), (("L1", "L2", 1),) * 3)
         with pytest.raises(ValueError, match="preset"):
-            twist_matrix(graph, "L1")
+            word_action(graph, TwistWord((("L1", 1),)))
 
     def test_determinant_is_parity_of_dimension(self):
         rng = random.Random(211)
         for _ in range(100):
             graph = random_graph(rng)
             vertex = rng.choice(graph.vertices)
-            m = twist_matrix(graph, vertex).matrix(graph.dimension)
+            m = word_action(graph, TwistWord(((vertex, 1),))).matrix(graph.dimension)
             expected = 1 if graph.dimension % 2 else -1
             assert cofactor_det(m.to_rows()) == expected
 
@@ -138,7 +144,7 @@ class TestWordAction:
         monkeypatch.undo()
         expected = IntMatrix.identity(20)
         for label in labels:
-            expected = mat_mul(expected, twist_matrix(graph, label).matrix(3))
+            expected = mat_mul(expected, word_action(graph, TwistWord(((label, 1),))).matrix(3))
         assert action.matrix(3) == expected
 
     def test_closed_form_takes_no_general_matrix_route(self, monkeypatch):
@@ -172,7 +178,8 @@ class TestWordAction:
             n = graph.dimension
             assert word_action(graph, word).matrix(n) == expected.matrix(n, len(graph.vertices))
             for label in graph.vertices:
-                assert twist_matrix(graph, label).matrix(n) == _reflection(graph, label).matrix(n)
+                single = word_action(graph, TwistWord(((label, 1),)))
+                assert single.matrix(n) == _reflection(graph, label).matrix(n)
 
     def test_rank_one_perturbation_is_nilpotent_for_odd_n(self):
         # T = I + N with N^2 = 0, so T^k = I + kN
@@ -180,9 +187,9 @@ class TestWordAction:
         for _ in range(60):
             graph = random_graph(rng, dimensions=(3, 5, 7))
             vertex = rng.choice(graph.vertices)
-            t = twist_matrix(graph, vertex).matrix(graph.dimension)
-            n = mat_sub(t, IntMatrix.identity(t.rows))
-            assert mat_mul(n, n) == IntMatrix.zero(t.rows, t.rows)
+            t = word_action(graph, TwistWord(((vertex, 1),))).matrix(graph.dimension)
+            n = IntMatrix(t.rows, t.cols, map(sub, t.entries, IntMatrix.identity(t.rows).entries))
+            assert mat_mul(n, n) == IntMatrix(t.rows, t.rows, [0] * (t.rows * t.rows))
             k = rng.randint(1, 9)
             power = word_action(graph, TwistWord(((vertex, k),))).matrix(graph.dimension)
             expected = IntMatrix(
