@@ -94,9 +94,11 @@ def _write(text: str, out_path: str | None) -> None:
 def _render(render, *args) -> str:
     """``render(*args)`` with Python's int-to-str digit limit lifted.
 
+    Every command renders through here, from the values its handler returns.
     Outputs pass the 4,300-digit limit (3.10.7 on) as entries grow: torsion
-    with k, twist entries with exponents, Smith transforms with the input.
-    The input was parsed under the limit, so it is lifted only to render.
+    with k, twist and mapping-torus entries with exponents, Smith transforms
+    with the input. The input was parsed under the limit, so it is lifted
+    only to render.
     """
     if not hasattr(sys, "get_int_max_str_digits"):
         return render(*args)
@@ -149,7 +151,7 @@ def _matrix_text(m, fmt: str, payload: dict) -> str:
     return _json_dumps(payload)
 
 
-def _cmd_validate(args) -> tuple[int, str]:
+def _cmd_validate(args) -> tuple:
     try:
         graph = _load_graph(args)
     except ValueError as exc:
@@ -159,39 +161,39 @@ def _cmd_validate(args) -> tuple[int, str]:
             # one entry per violation, each worded as if it were the only one
             errors = ([str(InvalidGraph([e])) for e in exc.errors]
                       if isinstance(exc, InvalidGraph) else [str(exc)])
-            return 1, _json_dumps({"ok": False, "errors": errors})
-        return 1, f"error: {exc}\n"
+            return 1, _json_dumps, {"ok": False, "errors": errors}
+        return 1, str, f"error: {exc}\n"
     if args.emit:
-        return 0, _json_dumps(graph_to_json(graph))
+        return 0, _json_dumps, graph_to_json(graph)
     if args.format == "json":
-        return 0, _json_dumps({"ok": True, "errors": []})
-    return 0, "ok\n"
+        return 0, _json_dumps, {"ok": True, "errors": []}
+    return 0, str, "ok\n"
 
 
-def _cmd_form(args) -> tuple[int, str]:
+def _cmd_form(args) -> tuple:
     graph = _load_graph(args)
     form = intersection_form(graph)
     payload = {"dimension": graph.dimension, "vertices": list(graph.vertices),
                "matrix": form.to_rows()}
-    return 0, _matrix_text(form, args.format, payload)
+    return 0, _matrix_text, form, args.format, payload
 
 
-def _cmd_homology(args) -> tuple[int, str]:
-    return 0, _graded_text(base_homology(_load_graph(args)), args.format)
+def _cmd_homology(args) -> tuple:
+    return 0, _graded_text, base_homology(_load_graph(args)), args.format
 
 
-def _cmd_twist(args) -> tuple[int, str]:
+def _cmd_twist(args) -> tuple:
     graph = _load_graph(args)
     # a word acts in exactly one degree
     (degree, matrix), = word_action(graph, parse_word(args.word)).items()
     payload = {"word": args.word, "degrees": [{"degree": degree, "matrix": matrix.to_rows()}]}
-    return 0, _render(_matrix_text, matrix, args.format, payload)
+    return 0, _matrix_text, matrix, args.format, payload
 
 
-def _cmd_torus(args) -> tuple[int, str]:
+def _cmd_torus(args) -> tuple:
     graph = _load_graph(args)
     action = word_action(graph, parse_word(args.word))
-    return 0, _graded_text(mapping_torus_homology(base_homology(graph), action), args.format)
+    return 0, _graded_text, mapping_torus_homology(base_homology(graph), action), args.format
 
 
 def _fillings_table(report: FillingReport) -> str:
@@ -268,11 +270,11 @@ def _fillings_json(report: FillingReport) -> str:
 _FILLINGS_TEXT = {"table": _fillings_table, "csv": _fillings_csv, "json": _fillings_json}
 
 
-def _cmd_fillings(args) -> tuple[int, str]:
+def _cmd_fillings(args) -> tuple:
     if args.kmax < 1:
         raise ValueError("--kmax must be at least 1")
     report = filling_family(_load_graph(args), parse_word(args.word), args.kmax)
-    return 0, _render(_FILLINGS_TEXT[args.format], report)
+    return 0, _FILLINGS_TEXT[args.format], report
 
 
 def _snf_text(m, fmt: str) -> str:
@@ -285,16 +287,17 @@ def _snf_text(m, fmt: str) -> str:
     return _json_dumps({name: x.to_rows() for name, x in parts.items()})
 
 
-def _cmd_snf(args) -> tuple[int, str]:
-    return 0, _render(_snf_text, parse_matrix(args.matrix), args.format)
+def _cmd_snf(args) -> tuple:
+    return 0, _snf_text, parse_matrix(args.matrix), args.format
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, text = args.handler(args)
-        _write(text, args.out)  # the one place a command's output leaves the program
+        # each handler parses its input and returns (code, render, *values)
+        code, render, *values = args.handler(args)
+        _write(_render(render, *values), args.out)  # the one place output leaves the program
         return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -8,21 +8,22 @@ records, per k, the full graded group, the torsion in the distinguished
 degree, and a distinctness class; ks with trivial torsion are flagged rather
 than assumed distinct.
 
-Member k = 1 goes through ``wang_pieces`` on (phi, Id), which checks phi
-once. Later members differ from it only in the degrees d where phi stores a
-matrix: there D_d = phi^k_d - I (the identity partner adds a zero block).
-The running product phi^k_d is kept as rows, and phi_d's columns are sliced
-once per family, so each member costs one small product per moving degree
-(``row_product``) and one reduction of D_d, built as rows by the same
-``_wang_piece`` as member 1. Only the changed degrees, d and d + 1 for each
-moving d (cokernel in d, kernel rank one degree up), fixed once per family,
-are rebuilt; every other degree keeps member 1's group object, and a
-changed degree whose value stays keeps its object too, so the renderer
-formats each distinct group once. A member's class is keyed on its changed
-degrees' groups alone, a key that agrees with equality of the whole graded
-group (numbering the whole graded groups by first occurrence gives the same
-ids, which the tests check). The boundary condition [phi^k, Id] = Id holds
-for every k, so it is checked once and its outcome put on every entry.
+A twist word moves exactly one degree d, the graph's dimension, so a member
+differs from the base only there: D_d = phi^k_d - I, and every other degree
+has D_j = 0 (the identity partner adds a zero block, and phi stores none
+off d), built once per family with no reduction. Every member, k = 1
+included, takes the same step. The running product phi^k_d is kept as rows
+and advanced by phi_d's columns, sliced once per family, so each member
+costs one small product (``row_product``) and one reduction of D_d, built
+as rows by ``_wang_piece``. Only degrees d and d + 1 change (cokernel in d,
+kernel rank one degree up) and are rebuilt; every other degree keeps its
+group object, and a changed degree whose value stays keeps its object too,
+so the renderer formats each distinct group once. A member's class is keyed
+on the groups in d and d + 1 alone, a key that agrees with equality of the
+whole graded group (numbering the whole graded groups by first occurrence
+gives the same ids, which the tests check). The boundary condition holds by
+construction: (phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id
+for every k, so ``boundary_ok`` is true on every entry.
 
 ``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
 eigenvalues l, 1/l the torsion cardinality is |det(M^k - I)| = |2 - t_k|,
@@ -32,17 +33,10 @@ recurrence stays in exact integers throughout.
 
 from __future__ import annotations
 
-from .bundle_homology import (
-    Representation,
-    _changed_degrees,
-    _total_groups,
-    _wang_piece,
-    boundary_check,
-    wang_pieces,
-)
+from .bundle_homology import _changed_degrees, _total_groups, _wang_piece
 from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det, row_product
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
-from .twist_engine import IDENTITY_ACTION, TwistWord, word_action
+from .twist_engine import TwistWord, word_action
 
 INDEXING_NOTE = (
     "cokernel torsion is reported in its own degree (mapping-cone orientation "
@@ -79,38 +73,36 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
-    generator = word_action(graph, word)
+    # a word acts in exactly one degree
+    (d, phi), = word_action(graph, word).items()
     base = base_homology(graph)
-    degree = graph.dimension
-    # member k = 1 checks phi and gives the pieces every later member reuses
-    ok = boundary_check(Representation(1, (generator, IDENTITY_ACTION))).ok
-    pieces = wang_pieces(base, [generator, IDENTITY_ACTION])
+    # the identity partner stores no block, and phi none off d, so D_j = 0 there
+    pieces = {j: _wang_piece((), base.rank(j), 2) for j in base.degrees()}
     groups: dict[int, AbelianGroup] = {}
     _total_groups(pieces, _changed_degrees(pieces), groups)
     # phi^k_d as rows, advanced by phi_d's columns, sliced once
-    powers = {d: m.to_rows() for d, m in generator.items() if d in pieces}
-    columns = {d: list(zip(*rows)) for d, rows in powers.items()}
-    changed = _changed_degrees(powers)
+    power = phi.to_rows()
+    columns = phi._columns()
+    r = len(power)
     classes: dict[tuple[AbelianGroup, ...], int] = {}
     entries = []
     for k in range(1, k_max + 1):
         if k > 1:
-            for d, cols in columns.items():
-                power = powers[d] = row_product(powers[d], cols)
-                # the identity partner stores no block: m = 2 with phi^k_d alone
-                pieces[d] = _wang_piece((power,), len(power), 2)
-            _total_groups(pieces, changed, groups)
-        # every other degree holds member 1's group, so this key is graded equality
-        class_id = classes.setdefault(tuple([groups[d] for d in changed]), len(classes) + 1)
+            power = row_product(power, columns)
+        pieces[d] = _wang_piece((power,), r, 2)
+        _total_groups(pieces, (d, d + 1), groups)
+        # every other degree holds a fixed group, so this key is graded equality
+        class_id = classes.setdefault((groups[d], groups[d + 1]), len(classes) + 1)
         homology = GradedGroup._unchecked(groups)
-        torsion = homology.group(degree)
+        torsion = homology.group(d)
+        # (phi^k, Id) sends [a, b] to [phi^k, Id] = Id, so the boundary condition holds
         entries.append(FillingEntry(k, homology, torsion.invariant_factors,
-                                    torsion.torsion_cardinality, ok, class_id))
+                                    torsion.torsion_cardinality, True, class_id))
     return FillingReport(
         graph=graph,
         word=str(word),
         k_max=k_max,
-        torsion_degree=degree,
+        torsion_degree=d,
         indexing_note=INDEXING_NOTE,
         entries=tuple(entries),
         distinct_classes=len(classes),

@@ -19,14 +19,17 @@ t^e therefore costs no more than t: no power, inverse or product is formed.
 
 Dimension-1 graphs have no derived intersection data; their degree-1 actions
 come from ``h1_actions`` entries on the graph (the ``a2-3pt-n1`` preset in
-``presets`` carries one for t1).
+``presets`` carries one for t1). A stored matrix may be any unimodular matrix,
+so a dimension-1 letter t^e multiplies the running product by the e-th power
+of its matrix. Either way a word acts in exactly one degree, the graph's
+dimension, and ``word_action`` stores a matrix there and nowhere else.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_mul, mat_pow
+from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_mul, mat_pow, row_product
 from .plumbing import PlumbingGraph, intersection_form
 
 
@@ -180,12 +183,13 @@ IDENTITY_ACTION = GradedAction({})
 def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     """Composite action of a twist word, leftmost letter applied last.
 
-    The intersection form is built once per word. For n >= 2 the product
-    starts from I and takes each letter t^e in closed form (module
-    docstring), as a rank-one update of the rows with a nonzero entry in
-    column t. Dimension-1 letters are stored matrices, which may be
-    any unimodular matrix, so they go through ``GradedAction.power`` and
-    ``compose``.
+    The product starts from I as rows and takes the letters in word order,
+    each on the right, and is stored in the graph's dimension alone. For
+    n >= 2 the intersection form is built once per word, and each letter t^e
+    is taken in closed form (module docstring), as a rank-one update of the
+    rows with a nonzero entry in column t. A dimension-1 letter is a stored
+    matrix, which may be any unimodular matrix, so the rows are multiplied by
+    its power from ``GradedAction.power``.
     """
     n = graph.dimension
     index = {label: i for i, label in enumerate(graph.vertices)}
@@ -193,7 +197,6 @@ def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     form = intersection_form(graph) if n > 1 else None
     sign = (-1) ** ((n + 1) * (n + 2) // 2)
     rows = IntMatrix.identity(size).to_rows()
-    acc = IDENTITY_ACTION  # dimension 1 only; compose returns its first letter as it is
     for label, exp in word.letters:
         v = index.get(label)
         if v is None:
@@ -205,17 +208,15 @@ def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
                     f"dimension-1 twist action for {label!r} is not derived from the graph; "
                     "use the built-in preset or an h1_action entry in the graph file"
                 )
-            step = GradedAction({1: stored})
-            acc = acc.compose(step if exp == 1 else step.power(exp))
-            continue
-        # T^e = I + c e_v f^T with f column v of the form, so row r gains c r[v] f
-        c = sign * (exp if n % 2 else exp % 2)
-        update = [(j, c * f) for j, f in enumerate(form.entries[v::size]) if f]
-        for r in rows:
-            t = r[v]
-            if t:
-                for j, cf in update:
-                    r[j] += t * cf
-    if acc.degrees():
-        return acc
+            power = GradedAction({1: stored}).power(exp).matrix(1)
+            rows = row_product(rows, power._columns())
+        else:
+            # T^e = I + c e_v f^T with f column v of the form, so row r gains c r[v] f
+            c = sign * (exp if n % 2 else exp % 2)
+            update = [(j, c * f) for j, f in enumerate(form.entries[v::size]) if f]
+            for r in rows:
+                t = r[v]
+                if t:
+                    for j, cf in update:
+                        r[j] += t * cf
     return GradedAction({n: IntMatrix._unchecked(size, size, tuple([e for r in rows for e in r]))})

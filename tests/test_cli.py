@@ -467,6 +467,25 @@ class TestFillings:
         assert outputs["csv"] == "".join(",".join(r) + "\n" for r in rows)
         assert outputs["table"] == "[" + ",".join("[" + ",".join(r) + "]" for r in rows) + "]\n"
 
+    def test_torus_output_passes_the_digit_limit(self, capsys):
+        # M = T1^E T2^E has trace 2 - 9E^2, so coker(M^2 - I) has order
+        # |4 - trace(M)^2| = 9E^2 (9E^2 - 4): Z/6E + Z/(3E (9E^2 - 4) / 2)
+        e = 10**2000
+        argv = ["torus", "--preset", "a2-3pt-n3", "--word", f"t1^{e} t2^{e} t1^{e} t2^{e}"]
+        limit = sys.get_int_max_str_digits()
+        outputs = {}
+        for fmt in ("json", "csv", "table"):
+            code, outputs[fmt], err = invoke(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+        rows = json.loads(outputs["json"], parse_int=str)["homology"]
+        factors = ["6" + "0" * 2000, "134" + "9" * 3998 + "4" + "0" * 2000]
+        assert rows[-1] == {"degree": "3", "free_rank": "0", "invariant_factors": factors,
+                            "group": f"Z/{factors[0]}+Z/{factors[1]}"}
+        assert outputs["csv"] == "degree,rank,invariant_factors\n" + "".join(
+            f"{r['degree']},{r['free_rank']},{'|'.join(r['invariant_factors'])}\n" for r in rows)
+        assert outputs["table"] == "".join(f"H_{r['degree']} = {r['group']}\n" for r in rows)
+
     def test_input_keeps_the_digit_limit(self, capsys, tmp_path):
         big = "1" + "0" * 5000
         for fmt in ("table", "csv", "json"):

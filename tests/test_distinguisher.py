@@ -146,8 +146,8 @@ class TestFillingFamily:
 
     def test_checked_constructions_do_not_grow_with_k(self, monkeypatch):
         # each member's groups reuse checked Smith invariants, phi^k is kept as
-        # matrices rather than actions, and the family's pieces and boundary
-        # check come from member k = 1 alone
+        # rows rather than actions, and the word's action and the base
+        # homology are built once per family
         counts = Counter()
         for cls in (AbelianGroup, GradedAction, GradedGroup):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -155,7 +155,7 @@ class TestFillingFamily:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        for name in ("wang_pieces", "boundary_check"):
+        for name in ("word_action", "base_homology"):
             def counting(*args, _fn=getattr(distinguisher, name), _name=name):
                 counts[_name] += 1
                 return _fn(*args)
@@ -166,7 +166,7 @@ class TestFillingFamily:
         counts.clear()
         filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 30)
         assert dict(counts) == few
-        assert few["wang_pieces"] == few["boundary_check"] == 1
+        assert few["word_action"] == few["base_homology"] == 1
 
     def test_members_match_the_general_route(self):
         # each member against surface_bundle_homology and boundary_check on

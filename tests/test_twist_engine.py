@@ -12,7 +12,7 @@ import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det
 from plumbhom.exact_linalg import IntMatrix, mat_mul
 from plumbhom.plumbing import PlumbingGraph, intersection_form
-from plumbhom.presets import graph_preset
+from plumbhom.presets import GRAPH_PRESETS, graph_preset
 from plumbhom.twist_engine import (
     GradedAction,
     IDENTITY_ACTION,
@@ -239,6 +239,26 @@ class TestPresetAction:
         assert word_action(self.graph, parse_word("t1^2")) == self.action.power(2)
         with pytest.raises(ValueError, match="h1_action"):
             word_action(self.graph, parse_word("t2"))
+
+
+    def test_dimension_one_words_multiply_stored_powers(self):
+        # two stored letters, in both orders and with negative exponents,
+        # against GradedAction.power and compose taken in word order
+        a = self.action.matrix(1)
+        graph = PlumbingGraph(1, self.graph.vertices, self.graph.edges,
+                              (("t1", a), ("t2", a.transpose())))
+        for text in ("t1^2 t2^-1 t1^-3", "t2^5 t1^-1 t2^-2", "t1 t2", "t2 t1", ""):
+            expected = IDENTITY_ACTION
+            for label, exp in parse_word(text).letters:
+                expected = expected.compose(GradedAction({1: graph.h1_action(label)}).power(exp))
+            action = word_action(graph, parse_word(text))
+            assert action.degrees() == (1,)
+            assert action.matrix(1) == expected.matrix(1, 4)
+        assert word_action(graph, parse_word("t1 t2")) != word_action(graph, parse_word("t2 t1"))
+        # a word acts in exactly one degree, which the family and `twist` unpack
+        for preset in GRAPH_PRESETS.values():
+            for text in ("", "t1", "t1^-2"):
+                assert word_action(preset, parse_word(text)).degrees() == (preset.dimension,)
 
 
 class TestWordGrammar:
