@@ -34,37 +34,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser, with only the subparser that argv names.
+
+    Any other argv (none, --help, an unknown name) builds every subparser,
+    which the top-level help and the invalid-choice error list.
+    """
     parser = _Parser(prog="plumbhom", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def add_common(name, summary, handler, graph=True, word=False, kmax=False, matrix=False):
+    named = [c for c in _COMMANDS if argv and c[0] == argv[0]] or _COMMANDS
+    for name, summary, handler, options in named:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        if graph:
+        if "graph" in options:
             src = p.add_mutually_exclusive_group(required=True)
             src.add_argument("--graph", metavar="PATH", help="graph file (JSON)")
             src.add_argument("--preset", metavar="NAME", help="built-in graph preset")
-        if word:
+        if "word" in options:
             p.add_argument("--word", required=True, help='twist word, e.g. "t1^3 t2^-1"')
-        if kmax:
+        if "kmax" in options:
             p.add_argument("--kmax", required=True, type=int, help="largest k in the family")
-        if matrix:
+        if "matrix" in options:
             p.add_argument("--matrix", required=True, metavar="LITERAL",
                            help='matrix literal, e.g. "[[7,3],[-3,-2]]"')
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        return p
-
-    p = add_common("validate", "check a graph and optionally echo it", _cmd_validate)
-    p.add_argument("--emit", action="store_true", help="echo the canonical graph JSON")
-    add_common("form", "intersection form of the plumbing", _cmd_form)
-    add_common("homology", "graded homology of the plumbing", _cmd_homology)
-    add_common("twist", "homology action of a twist word", _cmd_twist, word=True)
-    add_common("torus", "homology of the mapping torus of a word", _cmd_torus, word=True)
-    add_common("fillings", "k-indexed filling family report", _cmd_fillings, word=True, kmax=True)
-    add_common("snf", "Smith normal form of a matrix literal", _cmd_snf, graph=False, matrix=True)
+        if "emit" in options:
+            p.add_argument("--emit", action="store_true", help="echo the canonical graph JSON")
     return parser
 
 
@@ -215,14 +212,15 @@ def _fillings_table(report: FillingReport) -> str:
 
 
 def _fillings_csv(report: FillingReport) -> str:
-    lines = ["k,degree,rank,invariant_factors,class"]
     def cell(k: int, g: AbelianGroup) -> str:
         return f"{k},{g.free_rank},{'|'.join(map(str, g.invariant_factors))}"
 
+    lines = ["k,degree,rank,invariant_factors,class\n"]
     for e, cells in _cells(report.entries, cell):
-        head, tail = f"{e.k},", f",{e.class_id}"
-        lines.extend([head + c + tail for c in cells])
-    return "\n".join(lines) + "\n"
+        # the entry's lines, one per degree, in one string
+        head, tail = f"{e.k},", f",{e.class_id}\n"
+        lines.append(f"{head}{(tail + head).join(cells)}{tail}")
+    return "".join(lines)
 
 
 def _cells(entries, fmt):
@@ -291,8 +289,22 @@ def _cmd_snf(args) -> tuple:
     return 0, _snf_text, parse_matrix(args.matrix), args.format
 
 
+# name, summary, handler, and the options beyond --format and --out
+_COMMANDS = (
+    ("validate", "check a graph and optionally echo it", _cmd_validate, ("graph", "emit")),
+    ("form", "intersection form of the plumbing", _cmd_form, ("graph",)),
+    ("homology", "graded homology of the plumbing", _cmd_homology, ("graph",)),
+    ("twist", "homology action of a twist word", _cmd_twist, ("graph", "word")),
+    ("torus", "homology of the mapping torus of a word", _cmd_torus, ("graph", "word")),
+    ("fillings", "k-indexed filling family report", _cmd_fillings, ("graph", "word", "kmax")),
+    ("snf", "Smith normal form of a matrix literal", _cmd_snf, ("matrix",)),
+)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         # each handler parses its input and returns (code, render, *values)

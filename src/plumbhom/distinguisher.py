@@ -15,15 +15,17 @@ off d), built once per family with no reduction. Every member, k = 1
 included, takes the same step. The running product phi^k_d is kept as rows
 and advanced by phi_d's columns, sliced once per family, so each member
 costs one small product (``row_product``) and one reduction of D_d, built
-as rows by ``_wang_piece``. Only degrees d and d + 1 change (cokernel in d,
-kernel rank one degree up) and are rebuilt; every other degree keeps its
-group object, and a changed degree whose value stays keeps its object too,
-so the renderer formats each distinct group once. A member's class is keyed
-on the groups in d and d + 1 alone, a key that agrees with equality of the
-whole graded group (numbering the whole graded groups by first occurrence
-gives the same ids, which the tests check). The boundary condition holds by
-construction: (phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id
-for every k, so ``boundary_ok`` is true on every entry.
+as rows by ``_wang_piece``. The base lives in degrees up to d, so only
+H_d = coker D_d + Z^(kernel rank of D_(d-1)) and H_(d+1) = Z^(kernel rank
+of D_d) change. A member's graded group is the lower degrees, wrapped once per
+family, plus these two, set through the slot setters as its entry is; a
+changed degree whose value stays keeps its object, so the renderer formats
+each distinct group once. A member's class is keyed on the fields of H_d and
+H_(d+1), a key that agrees with equality of the whole graded group
+(numbering the whole graded groups by first occurrence gives the same ids,
+which the tests check). The boundary condition holds by construction:
+(phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id for every k,
+so ``boundary_ok`` is true on every entry.
 
 ``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
 eigenvalues l, 1/l the torsion cardinality is |det(M^k - I)| = |2 - t_k|,
@@ -33,7 +35,9 @@ recurrence stays in exact integers throughout.
 
 from __future__ import annotations
 
-from .bundle_homology import _changed_degrees, _total_groups, _wang_piece
+from math import prod
+
+from .bundle_homology import _NO_PIECE, _changed_degrees, _total_groups, _wang_piece
 from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det, row_product
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
 from .twist_engine import TwistWord, word_action
@@ -80,24 +84,43 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     pieces = {j: _wang_piece((), base.rank(j), 2) for j in base.degrees()}
     groups: dict[int, AbelianGroup] = {}
     _total_groups(pieces, _changed_degrees(pieces), groups)
+    # the base lives in degrees up to d, so a member changes d and d + 1 alone
+    lower = {j: g for j, g in groups.items() if j < d and not g.is_trivial()}
+    below = pieces.get(d - 1, _NO_PIECE)[1]
+    held, held_up = groups[d], groups[d + 1]
     # phi^k_d as rows, advanced by phi_d's columns, sliced once
     power = phi.to_rows()
     columns = phi._columns()
     r = len(power)
-    classes: dict[tuple[AbelianGroup, ...], int] = {}
+    new = object.__new__
+    set_groups, = GradedGroup._setters
+    set_k, set_homology, set_factors, set_order, set_boundary, set_class = FillingEntry._setters
+    classes: dict[tuple, int] = {}
     entries = []
     for k in range(1, k_max + 1):
         if k > 1:
             power = row_product(power, columns)
-        pieces[d] = _wang_piece((power,), r, 2)
-        _total_groups(pieces, (d, d + 1), groups)
-        # every other degree holds a fixed group, so this key is graded equality
-        class_id = classes.setdefault((groups[d], groups[d + 1]), len(classes) + 1)
-        homology = GradedGroup._unchecked(groups)
-        torsion = homology.group(d)
+        coker, kernel = _wang_piece((power,), r, 2)
+        # H_d and H_(d+1), each the object the member before held while its value stays
+        free, factors = coker.free_rank + below, coker.invariant_factors
+        if held.free_rank != free or held.invariant_factors != factors:
+            held = AbelianGroup._unchecked(free, factors) if below else coker
+        if held_up.free_rank != kernel:
+            held_up = AbelianGroup._unchecked(kernel, ())
+        # H_(d+1) is free, and every other degree fixed, so this key is graded equality
+        class_id = classes.setdefault((free, factors, kernel), len(classes) + 1)
+        homology = new(GradedGroup)
+        set_groups(homology, {**lower, d: held, d + 1: held_up} if free or factors
+                   else {**lower, d + 1: held_up})
+        entry = new(FillingEntry)
+        set_k(entry, k)
+        set_homology(entry, homology)
+        set_factors(entry, factors)
+        set_order(entry, prod(factors))
         # (phi^k, Id) sends [a, b] to [phi^k, Id] = Id, so the boundary condition holds
-        entries.append(FillingEntry(k, homology, torsion.invariant_factors,
-                                    torsion.torsion_cardinality, True, class_id))
+        set_boundary(entry, True)
+        set_class(entry, class_id)
+        entries.append(entry)
     return FillingReport(
         graph=graph,
         word=str(word),

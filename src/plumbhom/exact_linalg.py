@@ -62,9 +62,9 @@ Entries are checked where they enter the program: the public ``IntMatrix``
 constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
 ``from_rows``) reject anything but plain ints. Results computed from matrices
 that were already checked (``mat_mul``, ``transpose``, ``identity``, the
-Smith diagonal of ``smith_form``, the word actions and inverses of
-``twist_engine``) hold ints by construction and are built through
-``IntMatrix._unchecked``, which skips the per-entry check.
+Smith diagonal of ``smith_form``, the transforms of ``snf``, the word
+actions and inverses of ``twist_engine``) hold ints by construction and are
+built through ``IntMatrix._unchecked``, which skips the per-entry check.
 
 ``Frozen`` is the one base of the package's ten immutable value types
 (``IntMatrix`` and ``AbelianGroup`` here; ``PlumbingGraph``, ``GradedGroup``,
@@ -323,8 +323,9 @@ def snf(m: IntMatrix) -> SnfResult:
     if d and prod(diag) != abs(d):
         # with U @ M @ V == S this forces det U, det V = +-1
         raise RuntimeError("Smith invariants do not multiply to |det M|")
-    return SnfResult(IntMatrix.from_rows(u, cols=m.rows), s,
-                     IntMatrix.from_rows(vt, cols=m.cols).transpose())
+    # integer row steps on checked input, so the entries need no check
+    return SnfResult(IntMatrix._unchecked(m.rows, m.rows, tuple([e for r in u for e in r])), s,
+                     IntMatrix._unchecked(m.cols, m.cols, tuple([e for c in zip(*vt) for e in c])))
 
 
 def det_adjugate(m: IntMatrix) -> tuple[int, list[list[int]]]:
@@ -541,7 +542,7 @@ def _determinantal_invariants(block: list[list[int]]) -> list[int]:
     Zero rows are dropped first; d1 is the gcd of the entries and d1*d2 the
     gcd of the 2x2 minors.
     """
-    block = [r for r in block if any(r)]
+    block = list(filter(any, block))
     if len(block) > 2:
         block = list(zip(*block))
     if not block:
@@ -551,8 +552,11 @@ def _determinantal_invariants(block: list[list[int]]) -> list[int]:
     top, bottom = block
     d1 = gcd(*top, *bottom)
     n = len(top)
-    d12 = gcd(*[top[i] * bottom[j] - top[j] * bottom[i]
-                for i in range(n) for j in range(i + 1, n)])
+    if n == 2:  # one minor, the determinant
+        d12 = abs(top[0] * bottom[1] - top[1] * bottom[0])
+    else:
+        d12 = gcd(*[top[i] * bottom[j] - top[j] * bottom[i]
+                    for i in range(n) for j in range(i + 1, n)])
     return [d1, d12 // d1] if d12 else [d1]
 
 
@@ -583,7 +587,8 @@ def cokernel_rows(block: list[list[int]]) -> AbelianGroup:
     """``cokernel_group`` of the matrix with these rows; the rows are consumed."""
     rows = len(block)
     diag = smith_rows(block)
-    return AbelianGroup._unchecked(rows - len(diag), tuple([d for d in diag if d > 1]))
+    # a divisor chain of positive ints: its ones come first
+    return AbelianGroup._unchecked(rows - len(diag), tuple(diag[diag.count(1):]))
 
 
 def det(m: IntMatrix) -> int:
@@ -603,8 +608,12 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def row_product(rows: Iterable[Sequence[int]],
                 cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """The rows of A B, from A's rows and B's columns (sliced once by the caller)."""
-    # a 2x0 times 0x3 gives empty columns, so zeros
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    # a 2x0 times 0x3 gives empty columns, so zeros; an outer loop, not a
+    # nested comprehension, is the cheaper form for the 2x2 family products
+    out = []
+    for row in rows:
+        out.append([sum(map(mul, row, col)) for col in cols])
+    return out
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import importlib
 import json
@@ -512,11 +513,30 @@ class TestFillings:
         assert "kmax" in err
 
 
+COMMANDS = ("validate", "form", "homology", "twist", "torus", "fillings", "snf")
+
+
 class TestCliContract:
     def test_unknown_subcommand(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1
         assert "usage" in err
+        # the invalid-choice error lists every command, so all were built
+        assert [name for name in COMMANDS if repr(name) not in err] == []
+
+    def test_named_command_builds_only_its_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, _ = invoke(capsys, "homology", "--preset", "a2-3pt-n3")
+        assert (code, out) == (0, "H_0 = Z^1\nH_1 = Z^2\nH_3 = Z^2\n")
+        # the top-level parser and the homology subparser, not the other six
+        assert built == ["plumbhom", "plumbhom homology"]
 
     def test_unknown_flag(self, capsys):
         code, _, err = invoke(capsys, "form", "--preset", "a2-3pt-n3", "--frob")

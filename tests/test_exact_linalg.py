@@ -24,6 +24,7 @@ import plumbhom.exact_linalg as exact_linalg
 import plumbhom.twist_engine as twist_engine
 from oracles import cofactor_det, rank_by_minors, smith_diagonal, smith_diagonal_by_minors
 from test_cli import DENSE_24
+from test_plumbing import random_graph
 from plumbhom.exact_linalg import (
     AbelianGroup,
     IntMatrix,
@@ -35,12 +36,13 @@ from plumbhom.exact_linalg import (
     mat_pow,
     parse_matrix,
     smith_invariants,
+    smith_rows,
     snf,
 )
 from plumbhom.distinguisher import filling_family
 from plumbhom.plumbing import parse_graph
 from plumbhom.presets import graph_preset
-from plumbhom.twist_engine import GradedAction, parse_word, word_action
+from plumbhom.twist_engine import GradedAction, TwistWord, parse_word, word_action
 
 
 def _random_matrix(rng: random.Random, max_dim: int = 5, span: int = 9) -> IntMatrix:
@@ -376,6 +378,9 @@ class TestPivotStep:
 if given is None:
     def test_smith_contract_property():
         pytest.skip("hypothesis is not installed")
+
+    def test_smith_rows_on_grown_differences():
+        pytest.skip("hypothesis is not installed")
 else:
     _ENTRIES = st.one_of(st.sampled_from((-1, 0, 0, 1)), st.integers(-6, 6))
     # any shape up to 5x5, and square ones up to 8x8: nonsingular squares take
@@ -405,6 +410,33 @@ else:
             assert det(m) == 0 or prod(expected) == abs(det(m))
         assert [d for d in diag if d] == expected
         assert smith_invariants(m) == expected
+
+    # phi^k - I for a random word on a random plumbing: blocks up to 4x4 whose
+    # entries grow with the exponents and with k, as in a filling family
+    _GROWTH = st.tuples(
+        st.integers(0, 2**32),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from((-3, -2, -1, 1, 2, 3))),
+                 min_size=1, max_size=6),
+        st.integers(1, 6))
+
+    # half the graphs have 3 or 4 vertices, and the pivot loop runs on about
+    # one draw in ten (odd dimensions, words on three vertices or more)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_GROWTH)
+    def test_smith_rows_on_grown_differences(draw):
+        seed, letters, k = draw
+        graph = random_graph(random.Random(seed), dimensions=range(2, 6))
+        labels = graph.vertices  # at most 4, so the minors oracle stays cheap
+        word = TwistWord((labels[i % len(labels)], e) for i, e in letters)
+        (_, phi), = word_action(graph, word).items()
+        power = mat_pow(phi, k).to_rows()
+        rows = [[e - (i == j) for j, e in enumerate(r)] for i, r in enumerate(power)]
+        diag = smith_rows([r[:] for r in rows])
+        m = IntMatrix.from_rows(rows)
+        assert diag == [d for d in smith_diagonal(snf(m).S) if d]
+        assert diag == [d for d in smith_diagonal_by_minors(rows) if d]
+        if len(diag) == m.rows:
+            assert prod(diag) == abs(det(m))
 
 
 class TestCokernelAndKernel:
