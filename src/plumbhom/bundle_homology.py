@@ -112,38 +112,23 @@ def _difference_blocks(maps: Sequence[list[list[int]]], r: int) -> list[list[int
     return out
 
 
-_NO_PIECE = (AbelianGroup(0), 0)
-
-
-def _changed_degrees(degrees: Iterable[int]) -> list[int]:
-    """k and k + 1 for every k in degrees, ascending: the H_j a piece in degree k enters."""
-    degrees = set(degrees)
-    return sorted(degrees | {k + 1 for k in degrees})
-
-
-def _total_groups(
-    pieces: dict[int, tuple[AbelianGroup, int]], degrees: Iterable[int],
-    groups: dict[int, AbelianGroup],
-) -> None:
-    """Set H_j(E) = coker D_j + Z^(kernel rank of D_{j-1}) in ``groups`` for each j in degrees.
-
-    A group equal to the one ``groups`` holds keeps that object, and a
-    cokernel with no kernel term is the group itself.
-    """
-    # every piece was checked where it was built, so the sums need no check
-    for k in degrees:
-        coker = pieces.get(k, _NO_PIECE)[0]
-        kernel = pieces.get(k - 1, _NO_PIECE)[1]
-        free, factors = coker.free_rank + kernel, coker.invariant_factors
-        held = groups.get(k)
-        if held is None or held.free_rank != free or held.invariant_factors != factors:
-            groups[k] = AbelianGroup._unchecked(free, factors) if kernel else coker
-
-
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
+    """H_k(E) = coker D_k + Z^(kernel rank of D_(k-1)) in every degree 0 .. max + 1.
+
+    A piece in degree k enters H_k through its cokernel and H_(k+1) through
+    its kernel rank, so one ascending pass carries the kernel rank one degree
+    up; a cokernel with no kernel term is the group itself. Every piece was
+    checked where it was built, so the sums need no check.
+    """
     pieces = wang_pieces(base, monodromies)
+    trivial = AbelianGroup._unchecked(0, ())
     groups: dict[int, AbelianGroup] = {}
-    _total_groups(pieces, _changed_degrees(pieces), groups)
+    below = 0
+    for k in range(max(pieces, default=-1) + 2):
+        coker, kernel = pieces.get(k, (trivial, 0))
+        groups[k] = (AbelianGroup._unchecked(coker.free_rank + below, coker.invariant_factors)
+                     if below else coker)
+        below = kernel
     return GradedGroup._unchecked(groups)
 
 

@@ -125,14 +125,17 @@ def _graded_rows(graded: GradedGroup) -> list[dict]:
     return [{"degree": k, **_group_json(g)} for k, g in graded.items()]
 
 
+def _csv_cell(k: int, g: AbelianGroup) -> str:
+    """The ``degree,rank,invariant_factors`` cells of group g in degree k."""
+    return f"{k},{g.free_rank},{'|'.join(map(str, g.invariant_factors))}"
+
+
 def _graded_text(graded: GradedGroup, fmt: str) -> str:
     if fmt == "table":
         return "".join(f"H_{k} = {g}\n" for k, g in graded.items())
     if fmt == "csv":
-        lines = ["degree,rank,invariant_factors"]
-        for k, g in graded.items():
-            lines.append(f"{k},{g.free_rank},{'|'.join(str(d) for d in g.invariant_factors)}")
-        return "\n".join(lines) + "\n"
+        return "degree,rank,invariant_factors\n" + "".join(
+            f"{_csv_cell(k, g)}\n" for k, g in graded.items())
     return _json_dumps({"homology": _graded_rows(graded)})
 
 
@@ -212,11 +215,8 @@ def _fillings_table(report: FillingReport) -> str:
 
 
 def _fillings_csv(report: FillingReport) -> str:
-    def cell(k: int, g: AbelianGroup) -> str:
-        return f"{k},{g.free_rank},{'|'.join(map(str, g.invariant_factors))}"
-
     lines = ["k,degree,rank,invariant_factors,class\n"]
-    for e, cells in _cells(report.entries, cell):
+    for e, cells in _cells(report.entries, _csv_cell):
         # the entry's lines, one per degree, in one string
         head, tail = f"{e.k},", f",{e.class_id}\n"
         lines.append(f"{head}{(tail + head).join(cells)}{tail}")

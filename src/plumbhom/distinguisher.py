@@ -11,21 +11,27 @@ than assumed distinct.
 A twist word moves exactly one degree d, the graph's dimension, so a member
 differs from the base only there: D_d = phi^k_d - I, and every other degree
 has D_j = 0 (the identity partner adds a zero block, and phi stores none
-off d), built once per family with no reduction. Every member, k = 1
-included, takes the same step. The running product phi^k_d is kept as rows
-and advanced by phi_d's columns, sliced once per family, so each member
-costs one small product (``row_product``) and one reduction of D_d, built
-as rows by ``_wang_piece``. The base lives in degrees up to d, so only
-H_d = coker D_d + Z^(kernel rank of D_(d-1)) and H_(d+1) = Z^(kernel rank
-of D_d) change. A member's graded group is the lower degrees, wrapped once per
+off d), so coker D_j = Z^(r_j) and its kernel rank is 2 r_j, r_j = rank
+H_j(V). The fixed degrees are read off the base ranks, once per family with
+no reduction: H_j = Z^(r_j + 2 r_(j-1)) for j < d, and D_(d-1) contributes
+Z^(2 r_(d-1)) to H_d. Every member, k = 1 included, takes the same step.
+The running product phi^k_d is kept as rows and advanced by phi_d's
+columns, sliced once per family, so each member costs one small product
+(``row_product``) and one reduction of D_d, built as rows by
+``_wang_piece``. The base lives in degrees up to d, so only
+H_d = coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(kernel rank of D_d)
+change. A member's graded group is the lower degrees, wrapped once per
 family, plus these two, set through the slot setters as its entry is; a
 changed degree whose value stays keeps its object, so the renderer formats
-each distinct group once. A member's class is keyed on the fields of H_d and
-H_(d+1), a key that agrees with equality of the whole graded group
+each distinct group once. A member's class is keyed on the fields of H_d
+and H_(d+1), a key that agrees with equality of the whole graded group
 (numbering the whole graded groups by first occurrence gives the same ids,
-which the tests check). The boundary condition holds by construction:
-(phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id for every k,
-so ``boundary_ok`` is true on every entry.
+which the tests check).
+``test_members_match_the_general_route`` checks every member against
+``surface_bundle_homology`` on (phi^k, Id), the general assembly of the
+Wang sequence. The boundary condition holds by construction: (phi^k, Id)
+sends the boundary word [a, b] to [phi^k, Id] = Id for every k, so
+``boundary_ok`` is true on every entry.
 
 ``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
 eigenvalues l, 1/l the torsion cardinality is |det(M^k - I)| = |2 - t_k|,
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .bundle_homology import _NO_PIECE, _changed_degrees, _total_groups, _wang_piece
+from .bundle_homology import _wang_piece
 from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det, row_product
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
 from .twist_engine import TwistWord, word_action
@@ -79,15 +85,15 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     # a word acts in exactly one degree
     (d, phi), = word_action(graph, word).items()
-    base = base_homology(graph)
-    # the identity partner stores no block, and phi none off d, so D_j = 0 there
-    pieces = {j: _wang_piece((), base.rank(j), 2) for j in base.degrees()}
-    groups: dict[int, AbelianGroup] = {}
-    _total_groups(pieces, _changed_degrees(pieces), groups)
-    # the base lives in degrees up to d, so a member changes d and d + 1 alone
-    lower = {j: g for j, g in groups.items() if j < d and not g.is_trivial()}
-    below = pieces.get(d - 1, _NO_PIECE)[1]
-    held, held_up = groups[d], groups[d + 1]
+    rank = base_homology(graph).rank
+    # the identity partner stores no block, and phi none off d, so D_j = 0 there:
+    # coker D_j = Z^(r_j) and its kernel rank is 2 r_j
+    lower = {j: AbelianGroup._unchecked(rank(j) + 2 * rank(j - 1), ())
+             for j in range(d) if rank(j) or rank(j - 1)}
+    below = 2 * rank(d - 1)
+    # the base lives in degrees up to d, so a member changes d and d + 1 alone;
+    # held and held_up are the member before's, 0 before k = 1
+    held = held_up = AbelianGroup._unchecked(0, ())
     # phi^k_d as rows, advanced by phi_d's columns, sliced once
     power = phi.to_rows()
     columns = phi._columns()

@@ -3,9 +3,9 @@ pinned by exit code and the SHA-256 of its stdout and stderr.
 
 ``corpus/argv.jsonl`` holds one invocation per line as a JSON array of
 arguments; graph paths in it are relative to the repository root. Most lines
-start with a subcommand; the last few pin help and usage text (``--help``
-for the program and each subcommand, no subcommand, an unknown one, and a
-missing required flag).
+start with a subcommand; a block near the end pins help and usage text
+(``--help`` for the program and each subcommand, no subcommand, an unknown
+one, and a missing required flag), and later additions follow it.
 ``corpus/digest.txt`` holds, line for line, ``<exit code> <sha256 of stdout>
 <sha256 of stderr>``. ``test_behaviour_corpus.py`` runs every line in-process
 through ``plumbhom.cli.run`` and compares. A deliberate output change is made

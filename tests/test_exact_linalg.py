@@ -93,6 +93,13 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    def test_entry_outside_the_matrix_raises(self):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert m.entry(1, 2) == 6
+        for i, j in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError, match=rf"entry \({i}, {j}\) outside 2x3 matrix"):
+                m.entry(i, j)
+
     def test_transpose_roundtrip(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m
@@ -542,6 +549,8 @@ class TestProducts:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mat_mul(IntMatrix(2, 3, [0] * 6), IntMatrix(2, 3, [0] * 6))
+        with pytest.raises(ValueError, match="matrix power needs a square matrix"):
+            mat_pow(IntMatrix(2, 3, [0] * 6), 2)
 
     def test_negative_power_rejected(self):
         for k in (-1, True):
@@ -571,6 +580,7 @@ class TestProducts:
             assert product.shape == (n, m)
             assert product.to_rows() == naive(a, b)
             assert product == IntMatrix.from_rows(naive(a, b), cols=m)
+            assert a @ b == product
 
 
 class TestDetAdjugate:

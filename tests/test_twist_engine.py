@@ -291,14 +291,25 @@ class TestGradedAction:
 
     def test_equality_treats_identity_as_absent(self):
         assert GradedAction({3: IntMatrix.identity(2)}) == IDENTITY_ACTION
+        assert IDENTITY_ACTION == GradedAction({3: IntMatrix.identity(2)})
         a = GradedAction({3: IntMatrix.from_rows([[1, 1], [0, 1]])})
         assert a != IDENTITY_ACTION
+        assert not IDENTITY_ACTION == a
 
     def test_compose_with_an_empty_action_returns_the_other(self):
         a = GradedAction({3: IntMatrix.from_rows([[1, 1], [0, 1]])})
         assert IDENTITY_ACTION.compose(a) is a
         assert a.compose(GradedAction({})) is a
         assert IDENTITY_ACTION.compose(IDENTITY_ACTION) is IDENTITY_ACTION
+
+    def test_compose_keeps_a_degree_one_side_stores(self):
+        a = GradedAction({1: IntMatrix.from_rows([[2]])})
+        b = GradedAction({3: IntMatrix.from_rows([[1, 1], [0, 1]])})
+        both = GradedAction({1: IntMatrix.from_rows([[2]]),
+                             3: IntMatrix.from_rows([[1, 1], [0, 1]])})
+        for product in (a.compose(b), b.compose(a)):
+            assert product == both
+            assert product.degrees() == (1, 3)
 
     def test_compose_size_mismatch(self):
         a = GradedAction({3: IntMatrix.identity(2)})

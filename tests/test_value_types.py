@@ -262,6 +262,9 @@ def test_normalisation_makes_tuples():
      "invalid plumbing graph: h1_action for 'a' must be a square IntMatrix"),
     (lambda: GradedGroup({0: 5}), "degree 0 group must be an AbelianGroup"),
     (lambda: GradedAction({3: [[1]]}), "degree 3 map must be a square IntMatrix"),
+    (lambda: SPIN.power(1.5), "exponent must be an integer, got 1.5"),
+    (lambda: SPIN.power(True), "exponent must be an integer, got True"),
+    (lambda: IntMatrix.from_rows([[1, 2]], cols=3), "cols does not match row length"),
     (lambda: Representation(1, [1, 2]), "assignment 0 must be a GradedAction"),
     (lambda: Representation(1, [SPIN, None]), "assignment 1 must be a GradedAction"),
 ])
