@@ -113,22 +113,25 @@ def _difference_blocks(maps: Sequence[list[list[int]]], r: int) -> list[list[int
 
 
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
-    """H_k(E) = coker D_k + Z^(kernel rank of D_(k-1)) in every degree 0 .. max + 1.
+    """H_k(E) = coker D_k + Z^(kernel rank of D_(k-1)), in the nonzero degrees.
 
     A piece in degree k enters H_k through its cokernel and H_(k+1) through
-    its kernel rank, so one ascending pass carries the kernel rank one degree
-    up; a cokernel with no kernel term is the group itself. Every piece was
-    checked where it was built, so the sums need no check.
+    its kernel rank. One ascending pass over the pieces leaves Z^(kernel
+    rank) in degree k + 1, where the next piece, if it lies there, adds it to
+    its cokernel (a cokernel with no kernel term is the group itself). The
+    pass visits only the degrees where the base lives, so a degree with no
+    homology costs nothing. Every piece was checked where it was built, so
+    the sums need no check.
     """
-    pieces = wang_pieces(base, monodromies)
-    trivial = AbelianGroup._unchecked(0, ())
     groups: dict[int, AbelianGroup] = {}
-    below = 0
-    for k in range(max(pieces, default=-1) + 2):
-        coker, kernel = pieces.get(k, (trivial, 0))
-        groups[k] = (AbelianGroup._unchecked(coker.free_rank + below, coker.invariant_factors)
-                     if below else coker)
-        below = kernel
+    for k, (coker, kernel) in wang_pieces(base, monodromies).items():
+        below = groups.pop(k, None)
+        if below is not None:
+            coker = AbelianGroup._unchecked(coker.free_rank + below.free_rank, coker.invariant_factors)
+        if coker.free_rank or coker.invariant_factors:
+            groups[k] = coker
+        if kernel:
+            groups[k + 1] = AbelianGroup._unchecked(kernel, ())
     return GradedGroup._unchecked(groups)
 
 

@@ -85,11 +85,14 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     # a word acts in exactly one degree
     (d, phi), = word_action(graph, word).items()
-    rank = base_homology(graph).rank
+    base = base_homology(graph)
+    rank = base.rank
     # the identity partner stores no block, and phi none off d, so D_j = 0 there:
-    # coker D_j = Z^(r_j) and its kernel rank is 2 r_j
+    # coker D_j = Z^(r_j) and its kernel rank is 2 r_j, so H_j is nonzero only
+    # where the base lives or one degree above
+    degrees = base.degrees()
     lower = {j: AbelianGroup._unchecked(rank(j) + 2 * rank(j - 1), ())
-             for j in range(d) if rank(j) or rank(j - 1)}
+             for j in sorted({*degrees, *(k + 1 for k in degrees)}) if j < d}
     below = 2 * rank(d - 1)
     # the base lives in degrees up to d, so a member changes d and d + 1 alone;
     # held and held_up are the member before's, 0 before k = 1

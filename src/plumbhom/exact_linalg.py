@@ -64,7 +64,7 @@ constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
 that were already checked (``mat_mul``, ``transpose``, ``identity``, the
 Smith diagonal of ``smith_form``, the transforms of ``snf``, the word
 actions and inverses of ``twist_engine``) hold ints by construction and are
-built through ``IntMatrix._unchecked``, which skips the per-entry check.
+built through ``_unchecked``, which skips the per-entry check.
 
 ``Frozen`` is the one base of the package's ten immutable value types
 (``IntMatrix`` and ``AbelianGroup`` here; ``PlumbingGraph``, ``GradedGroup``,
@@ -77,10 +77,12 @@ reprs; the graded types hash their one dict of degrees as a tuple, and
 type (all but the three result types, ``BoundaryCheck`` and the two filling
 ones) checks its fields in ``__init__``, so an object that exists is valid and
 no caller checks it again; ``__init__`` then stores the fields with one
-``_set`` call. The ``_unchecked`` constructors of ``IntMatrix``,
-``AbelianGroup`` and ``GradedGroup`` wrap values that were already checked (a
-Smith diagonal, or the pieces of a group built before) and skip the checks.
-Both assign through the slots' own setters, which ``Frozen`` keeps per class.
+``_set`` call. Values checked before (a product's entries, a Smith diagonal,
+the pieces of a group built before) skip the checks through the one
+``Frozen._unchecked``: no ``__init__``, the same ``_set``, so a wrong number
+of fields still raises. ``_set`` assigns through the slots' own setters,
+which ``Frozen`` keeps per class; only ``filling_family`` calls them itself,
+one field at a time, to build its members.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ class Frozen:
     Objects are equal only to objects of the same class with equal fields;
     the hash and the ``Name(field=value, ...)`` repr read the same fields.
     Assignment and deletion raise ``AttributeError``, so ``__init__`` stores
-    its checked fields through ``_set``, which calls each slot's own setter.
+    its checked fields through ``_set``, which calls each slot's own setter
+    and raises ``ValueError`` unless it gets one value per field;
+    ``_unchecked`` stores values checked before through ``_set`` alone.
     """
 
     __slots__ = ()
@@ -121,6 +125,13 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
+
+    @classmethod
+    def _unchecked(cls, *values: object) -> "Frozen":
+        """An object of cls holding ``values``, checked before, built without ``__init__``."""
+        obj = object.__new__(cls)
+        obj._set(*values)
+        return obj
 
     def _set(self, *values: object) -> None:
         """Assign ``values`` to the slots, in ``__slots__`` order."""
@@ -160,16 +171,6 @@ class IntMatrix(Frozen):
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError(f"matrix entries must be integers, got {e!r}")
         self._set(rows, cols, entries)
-
-    @classmethod
-    def _unchecked(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
-        """Wrap a tuple of ``rows * cols`` ints computed from checked matrices."""
-        m = object.__new__(cls)
-        set_rows, set_cols, set_entries = cls._setters
-        set_rows(m, rows)
-        set_cols(m, cols)
-        set_entries(m, entries)
-        return m
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
@@ -218,10 +219,7 @@ class IntMatrix(Frozen):
         )
 
     def is_identity(self) -> bool:
-        return self.is_square and all(
-            self.entries[i * self.cols + j] == (1 if i == j else 0)
-            for i in range(self.rows) for j in range(self.cols)
-        )
+        return self.is_square and self.entries == IntMatrix.identity(self.rows).entries
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return mat_mul(self, other)
@@ -258,15 +256,6 @@ class AbelianGroup(Frozen):
             if b % a != 0:
                 raise ValueError(f"invariant factors must form a divisor chain, got {factors}")
         self._set(free_rank, factors)
-
-    @classmethod
-    def _unchecked(cls, free_rank: int, invariant_factors: tuple[int, ...]) -> "AbelianGroup":
-        """Wrap a free rank and a divisor chain of factors >= 2 checked before."""
-        g = object.__new__(cls)
-        set_free_rank, set_factors = cls._setters
-        set_free_rank(g, free_rank)
-        set_factors(g, invariant_factors)
-        return g
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors

@@ -72,6 +72,14 @@ class PlumbingGraph(Frozen):
 _TRIVIAL = AbelianGroup(0)
 
 
+def _sorted_degrees(by_degree: Mapping[object, object]) -> list[int]:
+    """The keys in ascending order; every key is checked before any is compared."""
+    for k in by_degree:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise ValueError(f"degrees must be nonnegative integers, got {k!r}")
+    return sorted(by_degree)
+
+
 class GradedGroup(Frozen):
     """Degree-indexed abelian groups; degrees not stored are trivial."""
 
@@ -79,23 +87,13 @@ class GradedGroup(Frozen):
 
     def __init__(self, groups: Mapping[int, AbelianGroup]):
         cleaned: dict[int, AbelianGroup] = {}
-        for k in sorted(groups):
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"degrees must be nonnegative integers, got {k!r}")
+        for k in _sorted_degrees(groups):
             g = groups[k]
             if not isinstance(g, AbelianGroup):
                 raise ValueError(f"degree {k} group must be an AbelianGroup")
             if not g.is_trivial():
                 cleaned[k] = g
         self._set(cleaned)
-
-    @classmethod
-    def _unchecked(cls, groups: dict[int, AbelianGroup]) -> "GradedGroup":
-        """Wrap groups keyed by ascending degrees >= 0; trivial ones dropped as in ``__init__``."""
-        g = object.__new__(cls)
-        set_groups, = cls._setters
-        set_groups(g, {k: a for k, a in groups.items() if a.free_rank or a.invariant_factors})
-        return g
 
     def group(self, degree: int) -> AbelianGroup:
         return self._groups.get(degree, _TRIVIAL)
@@ -208,18 +206,13 @@ def intersection_form(graph: PlumbingGraph) -> IntMatrix:
     parity = (-1) ** n
     index = {label: i for i, label in enumerate(graph.vertices)}
     size = len(graph.vertices)
-    weights = [[0] * size for _ in range(size)]
-    for a, b, sign in graph.edges:
-        i, j = index[a], index[b]
-        if i > j:
-            i, j = j, i
-        weights[i][j] += sign
     rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = half_sign * (1 + parity)
-        for j in range(i + 1, size):
-            rows[i][j] = half_sign * weights[i][j]
-            rows[j][i] = parity * rows[i][j]
+    for i, row in enumerate(rows):
+        row[i] = half_sign * (1 + parity)
+    for a, b, sign in graph.edges:
+        i, j = sorted((index[a], index[b]))
+        rows[i][j] += half_sign * sign
+        rows[j][i] += parity * half_sign * sign
     return IntMatrix.from_rows(rows, cols=size)
 
 

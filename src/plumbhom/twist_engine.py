@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_mul, mat_pow, row_product
-from .plumbing import PlumbingGraph, intersection_form
+from .plumbing import PlumbingGraph, _sorted_degrees, intersection_form
 
 
 class TwistWord(Frozen):
@@ -86,9 +86,7 @@ class GradedAction(Frozen):
 
     def __init__(self, degree_maps: Mapping[int, IntMatrix]):
         cleaned: dict[int, IntMatrix] = {}
-        for k in sorted(degree_maps):
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"degrees must be nonnegative integers, got {k!r}")
+        for k in _sorted_degrees(degree_maps):
             m = degree_maps[k]
             if not isinstance(m, IntMatrix) or not m.is_square:
                 raise ValueError(f"degree {k} map must be a square IntMatrix")
@@ -119,18 +117,13 @@ class GradedAction(Frozen):
             return other
         if not other._maps:
             return self
-        out: dict[int, IntMatrix] = {}
-        for k in sorted(set(self._maps) | set(other._maps)):
-            a = self._maps.get(k)
-            b = other._maps.get(k)
-            if a is None:
-                out[k] = b
-            elif b is None:
-                out[k] = a
-            else:
-                if a.rows != b.rows:
-                    raise ValueError(f"degree {k} size mismatch: {a.rows} vs {b.rows}")
-                out[k] = mat_mul(a, b)
+        # a degree only one side stores takes that side's matrix
+        out = {**other._maps, **self._maps}
+        for k in sorted(self._maps.keys() & other._maps.keys()):
+            a, b = self._maps[k], other._maps[k]
+            if a.rows != b.rows:
+                raise ValueError(f"degree {k} size mismatch: {a.rows} vs {b.rows}")
+            out[k] = mat_mul(a, b)
         return GradedAction(out)
 
     def power(self, k: int) -> "GradedAction":
@@ -156,18 +149,9 @@ class GradedAction(Frozen):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        for k in set(self._maps) | set(other._maps):
-            a = self._maps.get(k)
-            b = other._maps.get(k)
-            if a is None:
-                if not b.is_identity():
-                    return False
-            elif b is None:
-                if not a.is_identity():
-                    return False
-            elif a != b:
-                return False
-        return True
+        # each stored matrix against the other side's, the identity where it stores none
+        return all(m == b.matrix(k, m.rows)
+                   for a, b in ((self, other), (other, self)) for k, m in a._maps.items())
 
     def __hash__(self) -> int:
         return hash(tuple((k, m) for k, m in self._maps.items() if not m.is_identity()))

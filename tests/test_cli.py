@@ -19,8 +19,12 @@ import plumbhom.exact_linalg as exact_linalg
 from plumbhom.cli import run
 from plumbhom.distinguisher import filling_family
 from plumbhom.exact_linalg import IntMatrix, snf
+from plumbhom.plumbing import PlumbingGraph, graph_from_json, graph_to_json
 from plumbhom.presets import graph_preset
 from plumbhom.twist_engine import parse_word
+
+# t1 and t2 plumbed at three points in dimension 10^18 + 1
+HUGE_DIM = Path(__file__).resolve().parent / "golden" / "a2-3pt-huge-dim.graph.json"
 
 A2_N3_DOC = {
     "dimension": 3,
@@ -502,6 +506,40 @@ class TestFillings:
                                 "--kmax", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "limit" in err
+
+    @pytest.mark.parametrize("small", (5, 4))
+    def test_huge_dimension_is_a_small_one_relabelled(self, capsys, tmp_path, small):
+        # 10^18 + 1 and 10^18 agree with 5 and 4 mod 4, so the twist signs
+        # agree; only the base's degrees enter, so degrees d and d + 1 are
+        # renamed and nothing walks the degrees in between
+        huge = 10**18 + small - 4
+        texts = {}
+        for dim in (small, huge):
+            graph = PlumbingGraph(dim, ("t1", "t2"), [("t1", "t2", 1)] * 3)
+            path = tmp_path / f"{dim}.graph.json"
+            path.write_text(json.dumps(graph_to_json(graph)))
+            if dim == 10**18 + 1:
+                assert graph_from_json(json.loads(HUGE_DIM.read_text())) == graph
+                path = HUGE_DIM
+            for argv in (["torus"], ["fillings", "--kmax", "3"]):
+                code, texts[dim, argv[0]], err = invoke(
+                    capsys, *argv, "--graph", str(path), "--word", "t1", "--format", "csv")
+                assert (code, err) == (0, "")
+
+        def relabelled(text, column):
+            lines = text.splitlines()
+            for i, line in enumerate(lines[1:], 1):
+                cells = line.split(",")
+                if int(cells[column]) >= small:
+                    cells[column] = str(int(cells[column]) - small + huge)
+                lines[i] = ",".join(cells)
+            return "\n".join(lines) + "\n"
+
+        assert texts[huge, "torus"] == relabelled(texts[small, "torus"], 0)
+        assert texts[huge, "fillings"] == relabelled(texts[small, "fillings"], 1)
+        if small == 5:
+            assert texts[5, "torus"] == "degree,rank,invariant_factors\n" + (
+                "0,1,\n1,3,\n2,2,\n5,1,3\n6,1,\n")
 
     def test_kmax_required_and_validated(self, capsys):
         code, _, err = invoke(capsys, "fillings", "--preset", "a2-3pt-n3", "--word", "t1")

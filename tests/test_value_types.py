@@ -192,9 +192,13 @@ def test_set_takes_one_value_per_field(name):
     for values in (fields[:-1], fields + [None]):
         with pytest.raises(ValueError, match="fields"):
             object.__new__(type(a))._set(*values)
+        # the one constructor that skips __init__ stores through the same _set
+        with pytest.raises(ValueError, match="fields"):
+            type(a)._unchecked(*values)
     twin = object.__new__(type(a))
     twin._set(*fields)
     assert twin == a
+    assert type(a)._unchecked(*fields) == a
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -261,6 +265,11 @@ def test_normalisation_makes_tuples():
     (lambda: PlumbingGraph(1, ("a", "b"), [("a", "b", 1)], {"a": [[1, 0], [0, 1]]}),
      "invalid plumbing graph: h1_action for 'a' must be a square IntMatrix"),
     (lambda: GradedGroup({0: 5}), "degree 0 group must be an AbelianGroup"),
+    # every key is checked before the keys are sorted, so no comparison fails first
+    (lambda: GradedGroup({0: AbelianGroup(1), None: AbelianGroup(1)}),
+     "degrees must be nonnegative integers, got None"),
+    (lambda: GradedAction({1: IntMatrix.identity(2), "2": IntMatrix.identity(2)}),
+     "degrees must be nonnegative integers, got '2'"),
     (lambda: GradedAction({3: [[1]]}), "degree 3 map must be a square IntMatrix"),
     (lambda: SPIN.power(1.5), "exponent must be an integer, got 1.5"),
     (lambda: SPIN.power(True), "exponent must be an integer, got True"),
