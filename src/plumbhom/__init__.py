@@ -1,9 +1,7 @@
 """Exact integer homology of sphere-plumbing bundles over punctured surfaces."""
 
 from .bundle_homology import (
-    BoundaryCheck,
     Representation,
-    boundary_check,
     mapping_torus_homology,
     surface_bundle_homology,
     wang_pieces,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",
-    "BoundaryCheck",
     "FillingEntry",
     "FillingReport",
     "GRAPH_PRESETS",
@@ -65,7 +62,6 @@ __all__ = [
     "SnfResult",
     "TwistWord",
     "base_homology",
-    "boundary_check",
     "cokernel_group",
     "det",
     "filling_family",

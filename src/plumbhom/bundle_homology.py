@@ -17,11 +17,6 @@ hence free. Note the orientation of the sequence: the cokernel contributes in
 its own degree, the kernel one degree up. (Reading the Wang sequence the other
 way shifts the torsion up by one; the mapping torus of a degree-d circle map,
 with H_1 = Z + Z/(d-1), pins the orientation used here.)
-
-``boundary_check`` verifies the commutator condition a genus-g representation
-must satisfy on homology for the boundary to act trivially; it is a necessary
-condition at homology level, not a sufficient one for an actual symplectic
-representation.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from collections.abc import Iterable, Sequence
 
 from .exact_linalg import AbelianGroup, Frozen, cokernel_rows
 from .plumbing import GradedGroup
-from .twist_engine import IDENTITY_ACTION, GradedAction
+from .twist_engine import GradedAction
 
 
 class Representation(Frozen):
@@ -148,32 +143,3 @@ def surface_bundle_homology(base: GradedGroup, rep: Representation) -> GradedGro
     """
     return _total_space_homology(base, list(rep.assignments))
 
-
-class BoundaryCheck(Frozen):
-    """Outcome of the homology-level boundary condition."""
-
-    __slots__ = ("ok", "failing_degrees")
-
-    def __init__(self, ok: bool, failing_degrees: tuple[int, ...] = ()):
-        self._set(ok, failing_degrees)
-
-
-def boundary_check(rep: Representation) -> BoundaryCheck:
-    """Check that the product of commutators [A_i, B_i] is the identity.
-
-    This is what the boundary word of the surface evaluates to on homology;
-    identity is necessary for the representation to send the boundary to the
-    identity, not sufficient beyond homology. The last commutator is moved to
-    the right-hand side, ``(prod_{i<g} [A_i, B_i]) A_g B_g == B_g A_g``, so
-    genus 1 needs no inverse.
-    """
-    left = IDENTITY_ACTION
-    for i in range(rep.genus - 1):
-        a = rep.assignments[2 * i]
-        b = rep.assignments[2 * i + 1]
-        left = left.compose(a.compose(b).compose(a.inverse()).compose(b.inverse()))
-    a, b = rep.assignments[-2:]
-    left = left.compose(a).compose(b)
-    right = b.compose(a)
-    failing = tuple(k for k, m in left.items() if m != right.matrix(k, m.rows))
-    return BoundaryCheck(not failing, failing)

@@ -12,8 +12,9 @@ A twist word moves exactly one degree d, the graph's dimension, so a member
 differs from the base only there: D_d = phi^k_d - I, and every other degree
 has D_j = 0 (the identity partner adds a zero block, and phi stores none
 off d), so coker D_j = Z^(r_j) and its kernel rank is 2 r_j, r_j = rank
-H_j(V). The fixed degrees are read off the base ranks, once per family with
-no reduction: H_j = Z^(r_j + 2 r_(j-1)) for j < d, and D_(d-1) contributes
+H_j(V). So the degrees below d are those of the bundle with monodromies
+(Id, Id), read once per family from ``_total_space_homology``, the one
+assembly of the Wang sequence, with no reduction; and D_(d-1) contributes
 Z^(2 r_(d-1)) to H_d. Every member, k = 1 included, takes the same step.
 The running product phi^k_d is kept as rows and advanced by phi_d's
 columns, sliced once per family, so each member costs one small product
@@ -43,10 +44,10 @@ from __future__ import annotations
 
 from math import prod
 
-from .bundle_homology import _wang_piece
+from .bundle_homology import _total_space_homology, _wang_piece
 from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det, row_product
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
-from .twist_engine import TwistWord, word_action
+from .twist_engine import IDENTITY_ACTION, TwistWord, word_action
 
 INDEXING_NOTE = (
     "cokernel torsion is reported in its own degree (mapping-cone orientation "
@@ -86,14 +87,11 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     # a word acts in exactly one degree
     (d, phi), = word_action(graph, word).items()
     base = base_homology(graph)
-    rank = base.rank
     # the identity partner stores no block, and phi none off d, so D_j = 0 there:
-    # coker D_j = Z^(r_j) and its kernel rank is 2 r_j, so H_j is nonzero only
-    # where the base lives or one degree above
-    degrees = base.degrees()
-    lower = {j: AbelianGroup._unchecked(rank(j) + 2 * rank(j - 1), ())
-             for j in sorted({*degrees, *(k + 1 for k in degrees)}) if j < d}
-    below = 2 * rank(d - 1)
+    # below d, H_j is that of the bundle with monodromies (Id, Id)
+    lower = {j: g for j, g in _total_space_homology(base, (IDENTITY_ACTION,) * 2).items()
+             if j < d}
+    below = 2 * base.rank(d - 1)
     # the base lives in degrees up to d, so a member changes d and d + 1 alone;
     # held and held_up are the member before's, 0 before k = 1
     held = held_up = AbelianGroup._unchecked(0, ())

@@ -61,28 +61,28 @@ and ``GradedAction.inverse`` reads m^-1 = det(m) adj(m).
 Entries are checked where they enter the program: the public ``IntMatrix``
 constructor, ``IntMatrix.from_rows``, ``parse_matrix`` and graph files (through
 ``from_rows``) reject anything but plain ints. Results computed from matrices
-that were already checked (``mat_mul``, ``transpose``, ``identity``, the
-Smith diagonal of ``smith_form``, the transforms of ``snf``, the word
-actions and inverses of ``twist_engine``) hold ints by construction and are
-built through ``_unchecked``, which skips the per-entry check.
+that were already checked (``mat_mul``, ``identity``, the Smith diagonal
+of ``smith_form``, the transforms of ``snf``, the word actions and inverses
+of ``twist_engine``) hold ints by construction and are built through
+``_unchecked``, which skips the per-entry check.
 
-``Frozen`` is the one base of the package's ten immutable value types
+``Frozen`` is the one base of the package's nine immutable value types
 (``IntMatrix`` and ``AbelianGroup`` here; ``PlumbingGraph``, ``GradedGroup``,
-``TwistWord``, ``GradedAction``, ``Representation``, ``BoundaryCheck``,
-``FillingEntry`` and ``FillingReport`` downstream): equality, hash and repr
-read the fields named in the subclass's ``__slots__``, and assignment raises
-``AttributeError``. ``IntMatrix`` and the two graded types print their own
-reprs; the graded types hash their one dict of degrees as a tuple, and
-``GradedAction`` equality treats a missing degree as the identity. Each input
-type (all but the three result types, ``BoundaryCheck`` and the two filling
-ones) checks its fields in ``__init__``, so an object that exists is valid and
-no caller checks it again; ``__init__`` then stores the fields with one
-``_set`` call. Values checked before (a product's entries, a Smith diagonal,
-the pieces of a group built before) skip the checks through the one
-``Frozen._unchecked``: no ``__init__``, the same ``_set``, so a wrong number
-of fields still raises. ``_set`` assigns through the slots' own setters,
-which ``Frozen`` keeps per class; only ``filling_family`` calls them itself,
-one field at a time, to build its members.
+``TwistWord``, ``GradedAction``, ``Representation``, ``FillingEntry`` and
+``FillingReport`` downstream): equality, hash and repr read the fields named
+in the subclass's ``__slots__``, and assignment raises ``AttributeError``.
+``IntMatrix`` and the two graded types print their own reprs; the graded
+types hash their one dict of degrees as a tuple, and ``GradedAction``
+equality treats a missing degree as the identity. Each input type (all but
+the two filling result types) checks its fields in ``__init__``, so an
+object that exists is valid and no caller checks it again; ``__init__``
+then stores the fields with one ``_set`` call. Values checked before (a
+product's entries, a Smith diagonal, the pieces of a group built before)
+skip the checks through the one ``Frozen._unchecked``: no ``__init__``, the
+same ``_set``, so a wrong number of fields still raises. ``_set`` assigns
+through the slots' own setters, which ``Frozen`` keeps per class; only
+``filling_family`` calls them itself, one field at a time, to build its
+members.
 """
 
 from __future__ import annotations
@@ -213,16 +213,8 @@ class IntMatrix(Frozen):
     def _columns(self) -> list[tuple[int, ...]]:
         return [self.entries[j::self.cols] for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._unchecked(
-            self.cols, self.rows, tuple([e for col in self._columns() for e in col])
-        )
-
     def is_identity(self) -> bool:
         return self.is_square and self.entries == IntMatrix.identity(self.rows).entries
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}, {self.cols}, {list(self.entries)!r})"

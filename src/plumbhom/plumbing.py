@@ -175,9 +175,13 @@ def _validate_h1_actions(graph: PlumbingGraph) -> list[str]:
         errors.append("h1_action entries only apply to dimension 1")
         return errors
     size = graph.edge_count + 1
+    seen = []  # a list: a bad label need not be hashable
     for label, matrix in graph.h1_actions:
         if label not in graph.vertices:
             errors.append(f"h1_action for unknown vertex {label!r}")
+        elif label in seen:
+            # h1_action would read the first entry and graph_to_json keep the last
+            errors.append(f"duplicate h1_action for {label!r}")
         elif not isinstance(matrix, IntMatrix):
             errors.append(f"h1_action for {label!r} must be a square IntMatrix")
         elif not matrix.is_square or matrix.rows != size:
@@ -186,6 +190,7 @@ def _validate_h1_actions(graph: PlumbingGraph) -> list[str]:
             )
         elif det(matrix) not in (1, -1):
             errors.append(f"h1_action for {label!r} is not unimodular")
+        seen.append(label)
     return errors
 
 

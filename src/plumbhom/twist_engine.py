@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_mul, mat_pow, row_product
+from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_pow, row_product
 from .plumbing import PlumbingGraph, _sorted_degrees, intersection_form
 
 
@@ -41,6 +41,8 @@ class TwistWord(Frozen):
     def __init__(self, letters: Iterable[tuple[str, int]]):
         letters = tuple((label, exp) for label, exp in letters)
         for label, exp in letters:
+            if not isinstance(label, str):
+                raise ValueError(f"vertex labels in words must be strings, got {label!r}")
             if not label:
                 raise ValueError("empty vertex label in word")
             if not isinstance(exp, int) or isinstance(exp, bool) or exp == 0:
@@ -106,25 +108,6 @@ class GradedAction(Frozen):
                 raise KeyError(f"no stored matrix in degree {degree} and no size given")
             return IntMatrix.identity(size)
         return m
-
-    def compose(self, other: "GradedAction") -> "GradedAction":
-        """self applied after other (matrix product self @ other per degree).
-
-        Actions are immutable, so when one side stores no matrix the other is
-        returned as it is.
-        """
-        if not self._maps:
-            return other
-        if not other._maps:
-            return self
-        # a degree only one side stores takes that side's matrix
-        out = {**other._maps, **self._maps}
-        for k in sorted(self._maps.keys() & other._maps.keys()):
-            a, b = self._maps[k], other._maps[k]
-            if a.rows != b.rows:
-                raise ValueError(f"degree {k} size mismatch: {a.rows} vs {b.rows}")
-            out[k] = mat_mul(a, b)
-        return GradedAction(out)
 
     def power(self, k: int) -> "GradedAction":
         if not isinstance(k, int) or isinstance(k, bool):

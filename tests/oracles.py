@@ -5,7 +5,6 @@ computed with these routines, and the suite re-derives them at run time so the
 two routes stay separate.
 
 * ``cofactor_det`` expands along the first row, no elimination tricks.
-* ``adjugate_inverse`` inverts a determinant +-1 matrix as its adjugate.
 * ``smith_diagonal_by_minors`` recovers the Smith diagonal from determinantal
   divisors: d_k = gcd of all k x k minors, k-th diagonal entry = d_k / d_{k-1}.
   Exponential in the matrix size, which is fine for the small inputs used here.
@@ -44,20 +43,6 @@ def cofactor_det(rows: list[list[int]]) -> int:
     return total
 
 
-def adjugate_inverse(rows: list[list[int]]) -> list[list[int]]:
-    n = len(rows)
-    d = cofactor_det(rows)
-    if d not in (1, -1):
-        raise ValueError("determinant +-1 required")
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-        return (-1) ** (i + j) * cofactor_det(minor)
-
-    # inverse = adjugate / det, and the adjugate is the transposed cofactor matrix
-    return [[d * cofactor(j, i) for j in range(n)] for i in range(n)]
-
-
 def smith_diagonal_by_minors(rows: list[list[int]]) -> list[int]:
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -93,13 +78,6 @@ def euler_characteristic(graded) -> int:
 def classify_distinct(groups) -> list[int]:
     seen: dict = {}
     return [seen.setdefault(group, len(seen) + 1) for group in groups]
-
-
-def mul_2x2(a, b):
-    return [
-        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-    ]
 
 
 def inv_2x2_det1(a):

@@ -153,7 +153,8 @@ def test_criterion_6b_form_preservation_bulk():
                 for _ in range(rng.randint(0, 5))
             )
             t = word_action(graph, TwistWord(letters)).matrix(graph.dimension)
-            assert mat_mul(mat_mul(t.transpose(), q), t) == q
+            transposed = IntMatrix.from_rows(zip(*t.to_rows()))
+            assert mat_mul(mat_mul(transposed, q), t) == q
 
 
 def test_criterion_6c_kunneth_identity_monodromy():

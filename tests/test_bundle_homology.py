@@ -7,10 +7,9 @@ from operator import sub
 
 import pytest
 
-from oracles import adjugate_inverse, euler_characteristic, inv_2x2_det1, mul_2x2
+from oracles import euler_characteristic, inv_2x2_det1
 from plumbhom.bundle_homology import (
     Representation,
-    boundary_check,
     mapping_torus_homology,
     surface_bundle_homology,
     wang_pieces,
@@ -272,81 +271,6 @@ class TestSurfaceBundle:
 
 def _inverse_2x2(u: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(inv_2x2_det1(u.to_rows()))
-
-
-class TestBoundaryCheck:
-    def test_identity_partner_always_passes(self):
-        rng = random.Random(337)
-        for _ in range(40):
-            graph = random_graph(rng)
-            letters = tuple(
-                (rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2)))
-                for _ in range(rng.randint(0, 4))
-            )
-            phi = word_action(graph, TwistWord(letters))
-            assert boundary_check(Representation(1, (phi, IDENTITY_ACTION))).ok
-
-    def test_two_twists_fail(self):
-        t1 = word_action(A2_3PT_N3, TwistWord((("L1", 1),)))
-        t2 = word_action(A2_3PT_N3, TwistWord((("L2", 1),)))
-        result = boundary_check(Representation(1, (t1, t2)))
-        assert not result.ok
-        assert result.failing_degrees == (3,)
-        # independent 2x2 check of the commutator
-        a, b = [[1, -3], [0, 1]], [[1, 0], [3, 1]]
-        comm = mul_2x2(mul_2x2(a, b), mul_2x2(inv_2x2_det1(a), inv_2x2_det1(b)))
-        assert comm != [[1, 0], [0, 1]]
-        assert comm == [[73, -27], [-27, 10]]
-
-    def test_genus_two_cancelling_pairs(self):
-        # [A,B][B,A] is the identity because [B,A] = [A,B]^-1
-        t1 = word_action(A2_3PT_N3, TwistWord((("L1", 1),)))
-        t2 = word_action(A2_3PT_N3, TwistWord((("L2", 1),)))
-        result = boundary_check(Representation(2, (t1, t2, t2, t1)))
-        assert result.ok
-        a, b = [[1, -3], [0, 1]], [[1, 0], [3, 1]]
-        comm_ab = mul_2x2(mul_2x2(a, b), mul_2x2(inv_2x2_det1(a), inv_2x2_det1(b)))
-        comm_ba = mul_2x2(mul_2x2(b, a), mul_2x2(inv_2x2_det1(b), inv_2x2_det1(a)))
-        assert mul_2x2(comm_ab, comm_ba) == [[1, 0], [0, 1]]
-
-
-    def test_matches_explicit_commutator_product(self):
-        # prod [A_i, B_i] in the middle degree, inverses from the adjugate oracle
-        rng = random.Random(347)
-        outcomes = set()
-        for _ in range(120):
-            graph = random_graph(rng)
-            n, size = graph.dimension, len(graph.vertices)
-            genus = rng.randint(1, 3)
-
-            def random_action():
-                return word_action(graph, TwistWord(tuple(
-                    (rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2)))
-                    for _ in range(rng.randint(0, 3))
-                )))
-
-            assignments: list[GradedAction] = []
-            for i in range(genus):
-                mode = rng.choice(("random", "commuting", "reversed"))
-                a = random_action()
-                if mode == "commuting":
-                    assignments.extend([a, a.power(rng.randint(-2, 2))])
-                elif mode == "reversed" and i:
-                    # [B, A] after [A, B] cancels it
-                    assignments.extend([assignments[-1], assignments[-2]])
-                else:
-                    assignments.extend([a, random_action()])
-            total = IntMatrix.identity(size)
-            for a, b in zip(assignments[::2], assignments[1::2]):
-                a, b = a.matrix(n), b.matrix(n)
-                a_inv = IntMatrix.from_rows(adjugate_inverse(a.to_rows()), cols=size)
-                b_inv = IntMatrix.from_rows(adjugate_inverse(b.to_rows()), cols=size)
-                total = mat_mul(total, mat_mul(mat_mul(a, b), mat_mul(a_inv, b_inv)))
-            expected = () if total.is_identity() else (n,)
-            result = boundary_check(Representation(genus, tuple(assignments)))
-            assert (result.ok, result.failing_degrees) == (not expected, expected)
-            outcomes.add((genus, result.ok))
-        assert outcomes == {(g, ok) for g in (1, 2, 3) for ok in (True, False)}
 
 
 class TestRepresentation:

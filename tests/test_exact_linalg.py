@@ -100,11 +100,6 @@ class TestIntMatrix:
             with pytest.raises(IndexError, match=rf"entry \({i}, {j}\) outside 2x3 matrix"):
                 m.entry(i, j)
 
-    def test_transpose_roundtrip(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        assert m.transpose().transpose() == m
-        assert m.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
-
 
 class TestSnf:
     def test_identity_is_fixed(self):
@@ -580,7 +575,6 @@ class TestProducts:
             assert product.shape == (n, m)
             assert product.to_rows() == naive(a, b)
             assert product == IntMatrix.from_rows(naive(a, b), cols=m)
-            assert a @ b == product
 
 
 class TestDetAdjugate:

@@ -99,6 +99,19 @@ class TestValidate:
         errors = violations(1, ("a", "b"), (("a", "b", 1),) * 3, (("a", IntMatrix.identity(3)),))
         assert any("4x4" in e for e in errors)
 
+    def test_one_h1_action_per_vertex(self):
+        # h1_action reads the first entry for a label and graph_to_json keeps
+        # the last, so a second entry would not survive a round trip
+        twist = IntMatrix.from_rows([[1, -3, -1, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        edges = (("t1", "t2", 1),) * 3
+        for second in (IntMatrix.identity(4), twist):
+            with pytest.raises(InvalidGraph) as excinfo:
+                PlumbingGraph(1, ("t1", "t2"), edges, (("t1", twist), ("t1", second)))
+            assert excinfo.value.errors == ["duplicate h1_action for 't1'"]
+        graph = PlumbingGraph(1, ("t1", "t2"), edges,
+                              (("t1", twist), ("t2", IntMatrix.identity(4))))
+        assert graph_from_json(graph_to_json(graph)) == graph
+
     def test_every_violation_listed(self):
         assert violations(3, ("a", "a", "b"), (("b", "b", 1),)) == [
             "duplicate vertex label 'a'", "self-loop at 'b'"
@@ -179,9 +192,8 @@ class TestIntersectionForm:
             graph = random_graph(rng)
             q = intersection_form(graph)
             sign = (-1) ** graph.dimension
-            flipped = IntMatrix(
-                q.rows, q.cols, [sign * e for e in q.transpose().entries]
-            )
+            # q^T == (-1)^n q, with the transpose taken on the rows
+            flipped = IntMatrix.from_rows([[sign * e for e in col] for col in zip(*q.to_rows())])
             assert flipped == q
 
 

@@ -1,4 +1,4 @@
-"""The value-type contract of the ten immutable result and input classes.
+"""The value-type contract of the nine immutable result and input classes.
 
 Reprs, equality, hashing, immutability, keyword construction, copying and the
 validation messages are pinned here, so the classes can change how they are
@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from plumbhom.bundle_homology import BoundaryCheck, Representation
+from plumbhom.bundle_homology import Representation
 from plumbhom.distinguisher import INDEXING_NOTE, FillingEntry, FillingReport
 from plumbhom.exact_linalg import AbelianGroup, IntMatrix
 from plumbhom.plumbing import GradedGroup, PlumbingGraph
@@ -55,7 +55,6 @@ FIELDS = {
     "PlumbingGraph": ("dimension", "vertices", "edges", "h1_actions"),
     "TwistWord": ("letters",),
     "Representation": ("genus", "assignments"),
-    "BoundaryCheck": ("ok", "failing_degrees"),
     "FillingEntry": ("k", "homology", "torsion_factors", "torsion_cardinality", "boundary_ok",
                      "class_id"),
     "FillingReport": ("graph", "word", "k_max", "torsion_degree", "indexing_note", "entries",
@@ -109,12 +108,6 @@ CASES = {
         "Representation(genus=1, assignments=(GradedAction({3: [[0,-1],[1,0]]}), "
         "GradedAction({})))",
         lambda: Representation(1, [IDENTITY_ACTION, SPIN]),
-    ),
-    "BoundaryCheck": (
-        lambda: BoundaryCheck(False, (3,)),
-        lambda: BoundaryCheck(ok=False, failing_degrees=(3,)),
-        "BoundaryCheck(ok=False, failing_degrees=(3,))",
-        lambda: BoundaryCheck(True),
     ),
     "FillingEntry": (
         lambda: FillingEntry(1, HOMOLOGY, (3,), 3, True, 1),
@@ -230,7 +223,6 @@ def test_preset_matrices_cannot_be_rebound():
 def test_defaults():
     assert AbelianGroup(2) == AbelianGroup(2, ())
     assert PlumbingGraph(3, ("t1",), ()).h1_actions == ()
-    assert BoundaryCheck(True).failing_degrees == ()
 
 
 def test_normalisation_makes_tuples():
@@ -251,6 +243,8 @@ def test_normalisation_makes_tuples():
     (lambda: AbelianGroup(0, (2.0,)), "invariant factors must be integers >= 2, got 2.0"),
     (lambda: AbelianGroup(0, [2, 3]), "invariant factors must form a divisor chain, got (2, 3)"),
     (lambda: TwistWord([("", 1)]), "empty vertex label in word"),
+    (lambda: TwistWord([(1, 1)]), "vertex labels in words must be strings, got 1"),
+    (lambda: TwistWord([(None, 1)]), "vertex labels in words must be strings, got None"),
     (lambda: TwistWord([("t1", 0)]), "word exponents must be nonzero integers, got 0"),
     (lambda: TwistWord([("t1", True)]), "word exponents must be nonzero integers, got True"),
     (lambda: TwistWord([("t1", 1.5)]), "word exponents must be nonzero integers, got 1.5"),
@@ -264,6 +258,9 @@ def test_normalisation_makes_tuples():
      "invalid plumbing graph: h1_action for 't1' must be 2x2, got 4x4"),
     (lambda: PlumbingGraph(1, ("a", "b"), [("a", "b", 1)], {"a": [[1, 0], [0, 1]]}),
      "invalid plumbing graph: h1_action for 'a' must be a square IntMatrix"),
+    (lambda: PlumbingGraph(1, ("t1", "t2"), (("t1", "t2", 1),) * 3,
+                           (("t1", H1), ("t1", IntMatrix.identity(4)))),
+     "invalid plumbing graph: duplicate h1_action for 't1'"),
     (lambda: GradedGroup({0: 5}), "degree 0 group must be an AbelianGroup"),
     # every key is checked before the keys are sorted, so no comparison fails first
     (lambda: GradedGroup({0: AbelianGroup(1), None: AbelianGroup(1)}),
