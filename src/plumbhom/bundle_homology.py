@@ -113,21 +113,19 @@ def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]
     A piece in degree k enters H_k through its cokernel and H_(k+1) through
     its kernel rank. One ascending pass over the pieces leaves Z^(kernel
     rank) in degree k + 1, where the next piece, if it lies there, adds it to
-    its cokernel (a cokernel with no kernel term is the group itself). The
+    its cokernel (a cokernel with no piece below is the group itself). The
     pass visits only the degrees where the base lives, so a degree with no
     homology costs nothing. Every piece was checked where it was built, so
-    the sums need no check.
+    the sums need no check; ``GradedGroup`` drops the trivial degrees.
     """
     groups: dict[int, AbelianGroup] = {}
     for k, (coker, kernel) in wang_pieces(base, monodromies).items():
-        below = groups.pop(k, None)
+        below = groups.get(k)
         if below is not None:
             coker = AbelianGroup._unchecked(coker.free_rank + below.free_rank, coker.invariant_factors)
-        if coker.free_rank or coker.invariant_factors:
-            groups[k] = coker
-        if kernel:
-            groups[k + 1] = AbelianGroup._unchecked(kernel, ())
-    return GradedGroup._unchecked(groups)
+        groups[k] = coker
+        groups[k + 1] = AbelianGroup._unchecked(kernel, ())
+    return GradedGroup(groups)
 
 
 def mapping_torus_homology(base: GradedGroup, phi: GradedAction) -> GradedGroup:

@@ -149,8 +149,9 @@ def torsion_closed_form(action: IntMatrix, k: int) -> int:
     """
     if action.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {action.rows}x{action.cols}")
-    if det(action) != 1:
-        raise ValueError(f"determinant must be 1, got {det(action)}")
+    determinant = det(action)
+    if determinant != 1:
+        raise ValueError(f"determinant must be 1, got {determinant}")
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     trace = action.entry(0, 0) + action.entry(1, 1)

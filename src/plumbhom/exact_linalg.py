@@ -19,10 +19,11 @@ divides the rest of the block. Every row operation is also applied to the
 rows of a transform that the caller passes, and every transpose of the
 block swaps the row-side and column-side transforms.
 
-A unit pivot divides everything, so it skips that divisibility scan, and
-once its column is clear the steps that clear its row change only that row
-and the column-side transform: they run in place, not between two
-transposes that cancel (one transpose stays when the row is already clear).
+Once the column below a unit pivot is clear, the steps that clear its row
+change only that row and the column-side transform: they run in place, not
+between two transposes that cancel, and the pivot step returns, since a
+unit divides everything. When the row is already clear, the one transpose
+stays and the divisibility scan runs, finding nothing.
 The tie rule and this pattern of transposes are kept because ``snf``'s U
 and V depend on them: S is unique, but another pivot or orientation gives
 another valid pair of transforms, and the CLI prints them.
@@ -47,9 +48,10 @@ from it. ``smith_invariants`` and ``cokernel_group`` (and through the first
 ``smith_form``, which lays the invariants on a diagonal; a rank is their
 count) hand them an ``IntMatrix``'s rows; the Wang pieces of
 ``bundle_homology`` (every filling-family member among them) hand their
-difference blocks over as rows directly. A block with at most two rows or
-two columns goes on entry to the determinantal finish (gcd of the entries,
-gcd of the 2x2 minors). A larger one is transposed between pivot steps,
+difference blocks over as rows directly. Every block loses its zero rows
+and columns on entry, keeping its orientation; one with at most two rows or
+two columns then goes to the determinantal finish (gcd of the entries, gcd
+of the 2x2 minors). A larger one is transposed between pivot steps,
 dropping zero rows and columns: the tie rule reads the block as it lies, so
 its orientation chooses the pivots, and with them how far the entries grow.
 
@@ -412,12 +414,12 @@ def smith_invariants(m: IntMatrix) -> list[int]:
 def smith_rows(block: list[list[int]]) -> list[int]:
     """``smith_invariants`` of the matrix with these rows; the rows are consumed.
 
-    A block with at most two rows or two columns (every 2x2 input) goes
-    straight to the determinantal finish. A larger one loses its zero rows
-    and columns on entry. Each pivot step takes the nonzero entry of smallest
-    absolute value, clears its row and column, and makes it divide the rest
-    of the block, so the pivots form a divisor chain and the finish
-    continues it. Between steps the rest loses its zero rows and is
+    The block loses its zero rows and columns on entry, keeping its
+    orientation; if at most two rows or two columns are left (as from every
+    2x2 input), it goes straight to the determinantal finish. Each pivot
+    step takes the nonzero entry of smallest absolute value, clears its row
+    and column, and makes it divide the rest of the block, so the pivots
+    form a divisor chain and the finish continues it. Between steps the rest loses its zero rows and is
     transposed, losing its zero columns. The invariants ignore orientation,
     but the pivots do not, and so neither does entry growth: on phi^k - I
     for v0^2 ... v19^2 on the A_20 chain this route peaks at 23,521 bits for
@@ -425,16 +427,12 @@ def smith_rows(block: list[list[int]]) -> list[int]:
     """
     bound = min(len(block), len(block[0])) if block else 0
     out: list[int] = []
-    if bound > 2:
-        block = [r for r in block if any(r)]
-        if len(block) > 2:
-            cols = [c for c in zip(*block) if any(c)]
-            if len(cols) < len(block[0]):
-                block = [list(r) for r in zip(*cols)]
-        while len(block) > 2 and len(block[0]) > 2:
-            out.append(_eliminate_pivot(block, [[[] for _ in block], [[] for _ in block[0]]]))
-            rows = [r for r in (r[1:] for r in block[1:]) if any(r)]
-            block = [list(c) for c in zip(*rows) if any(c)]
+    # zero rows and columns go, and the block keeps its orientation
+    block = [list(r) for r in zip(*[c for c in zip(*block) if any(c)]) if any(r)]
+    while len(block) > 2 and len(block[0]) > 2:
+        out.append(_eliminate_pivot(block, [[[] for _ in block], [[] for _ in block[0]]]))
+        rows = [r for r in (r[1:] for r in block[1:]) if any(r)]
+        block = [list(c) for c in zip(*rows) if any(c)]
     out += _determinantal_invariants(block)
     _check_invariants(out, bound)
     return out
@@ -508,8 +506,6 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
         sides.reverse()
         if any(r[0] for r in block[1:]):
             continue
-        if p == 1 or p == -1:
-            return 1
         stray = next((i for i in range(1, len(block)) if any(map(p.__rmod__, block[i]))), None)
         if stray is None:
             return abs(p)
@@ -518,12 +514,10 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
 
 
 def _determinantal_invariants(block: list[list[int]]) -> list[int]:
-    """Nonzero Smith diagonal of a block with at most two rows or two columns.
+    """Nonzero Smith diagonal of a block with no zero row and at most two rows or columns.
 
-    Zero rows are dropped first; d1 is the gcd of the entries and d1*d2 the
-    gcd of the 2x2 minors.
+    d1 is the gcd of the entries and d1*d2 the gcd of the 2x2 minors.
     """
-    block = list(filter(any, block))
     if len(block) > 2:
         block = list(zip(*block))
     if not block:
@@ -533,11 +527,8 @@ def _determinantal_invariants(block: list[list[int]]) -> list[int]:
     top, bottom = block
     d1 = gcd(*top, *bottom)
     n = len(top)
-    if n == 2:  # one minor, the determinant
-        d12 = abs(top[0] * bottom[1] - top[1] * bottom[0])
-    else:
-        d12 = gcd(*[top[i] * bottom[j] - top[j] * bottom[i]
-                    for i in range(n) for j in range(i + 1, n)])
+    d12 = gcd(*[top[i] * bottom[j] - top[j] * bottom[i]
+                for i in range(n) for j in range(i + 1, n)])
     return [d1, d12 // d1] if d12 else [d1]
 
 
@@ -589,12 +580,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def row_product(rows: Iterable[Sequence[int]],
                 cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """The rows of A B, from A's rows and B's columns (sliced once by the caller)."""
-    # a 2x0 times 0x3 gives empty columns, so zeros; an outer loop, not a
-    # nested comprehension, is the cheaper form for the 2x2 family products
-    out = []
-    for row in rows:
-        out.append([sum(map(mul, row, col)) for col in cols])
-    return out
+    # a 2x0 times 0x3 gives empty columns, so zeros
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:

@@ -52,8 +52,10 @@ class PlumbingGraph(Frozen):
                  h1_actions: Mapping[str, IntMatrix] | Iterable[tuple[str, IntMatrix]] = ()):
         if isinstance(h1_actions, Mapping):
             h1_actions = h1_actions.items()
-        self._set(dimension, tuple(vertices), tuple((a, b, s) for (a, b, s) in edges),
-                  tuple(h1_actions))
+        # list entries become tuples, so the graph hashes; validate checks each shape
+        edges, h1_actions = (tuple(tuple(e) if isinstance(e, list) else e for e in entries)
+                             for entries in (edges, h1_actions))
+        self._set(dimension, tuple(vertices), edges, h1_actions)
         errors = validate(self)
         if errors:
             raise InvalidGraph(errors)
@@ -140,7 +142,12 @@ def validate(graph: PlumbingGraph) -> list[str]:
         else:
             known.add(label)
     adjacency: dict[str, set[str]] = {v: set() for v in known}
-    for a, b, sign in graph.edges:
+    for edge in graph.edges:
+        if not isinstance(edge, tuple) or len(edge) != 3:
+            errors.append(f"edge must be a (vertex, vertex, sign) triple, got {edge!r}")
+            walkable = False
+            continue
+        a, b, sign = edge
         for end in (a, b):
             # an end at a vertex with a bad label is reported once, as the label
             if not (isinstance(end, str) and end in known) and end not in graph.vertices:
@@ -176,7 +183,11 @@ def _validate_h1_actions(graph: PlumbingGraph) -> list[str]:
         return errors
     size = graph.edge_count + 1
     seen = []  # a list: a bad label need not be hashable
-    for label, matrix in graph.h1_actions:
+    for entry in graph.h1_actions:
+        if not isinstance(entry, tuple) or len(entry) != 2:
+            errors.append(f"h1_action entry must be a (vertex, matrix) pair, got {entry!r}")
+            continue
+        label, matrix = entry
         if label not in graph.vertices:
             errors.append(f"h1_action for unknown vertex {label!r}")
         elif label in seen:

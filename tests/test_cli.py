@@ -82,6 +82,10 @@ MALFORMED = [
     (_doc(edges={}), "edges must be a list"),
     (_doc(edges=[{"between": ["L1"], "sign": 1}]),
      'edge "between" must be a pair of vertex labels'),
+    (_doc(edges=[["L1", "L2", 1]]),
+     'each edge must be an object with exactly "between" and "sign"'),
+    (_doc(edges=[{"between": ["L1", "L2"], "sign": 1, "weight": 2}]),
+     'each edge must be an object with exactly "between" and "sign"'),
     (_doc(dimension=1, h1_action=[]), "h1_action must map vertex labels to matrices"),
     (_doc(vertices=["L1", "L2", "L1"]), "invalid plumbing graph: duplicate vertex label 'L1'"),
     (_doc(**_H1_DOC, h1_action={"L3": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),

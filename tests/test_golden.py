@@ -15,6 +15,10 @@ pin the transforms as computed since then. The ``form-*``, ``homology-*`` and
 form; before them no test ran ``form`` in csv or json. The ``twist-n2-*``,
 ``torus-n2-*``, ``validate-n3.{table,csv}`` and ``validate-bad-sign.*`` files
 were captured before every command returned its text to one write in ``run``.
+The two ``fillings-a20-chain-*.csv`` files (the A_20 growth words) were
+captured before the Smith special cases of the third code diet were deleted;
+no test here reads them: CI's growth-regime steps ``cmp`` the installed
+command's output against them.
 Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
 tests/golden/<name>`` only when an output is meant to change.
 """

@@ -261,6 +261,13 @@ def test_normalisation_makes_tuples():
     (lambda: PlumbingGraph(1, ("t1", "t2"), (("t1", "t2", 1),) * 3,
                            (("t1", H1), ("t1", IntMatrix.identity(4)))),
      "invalid plumbing graph: duplicate h1_action for 't1'"),
+    # malformed entries are violations too, not unpacking errors
+    (lambda: PlumbingGraph(3, ("a", "b"), [("a", "b")]),
+     "invalid plumbing graph: edge must be a (vertex, vertex, sign) triple, got ('a', 'b')"),
+    (lambda: PlumbingGraph(1, ("a", "b"), [("a", "b", 1)], [("a",)]),
+     "invalid plumbing graph: h1_action entry must be a (vertex, matrix) pair, got ('a',)"),
+    (lambda: PlumbingGraph(1, ("a", "b"), [("a", "b", 1)], [1]),
+     "invalid plumbing graph: h1_action entry must be a (vertex, matrix) pair, got 1"),
     (lambda: GradedGroup({0: 5}), "degree 0 group must be an AbelianGroup"),
     # every key is checked before the keys are sorted, so no comparison fails first
     (lambda: GradedGroup({0: AbelianGroup(1), None: AbelianGroup(1)}),
