@@ -19,8 +19,6 @@ way shifts the torsion up by one; the mapping torus of a degree-d circle map,
 with H_1 = Z + Z/(d-1), pins the orientation used here.)
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 
 from .exact_linalg import AbelianGroup, Frozen, cokernel_rows

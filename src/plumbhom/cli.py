@@ -5,8 +5,6 @@ byte-deterministic for a fixed invocation. Exit codes: 0 success, 1 input
 error or a failed write (to stdout or --out), 2 internal invariant violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

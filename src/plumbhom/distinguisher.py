@@ -40,8 +40,6 @@ where t_k = trace(M^k) satisfies t_k = t(M) t_{k-1} - t_{k-2}, t_0 = 2. The
 recurrence stays in exact integers throughout.
 """
 
-from __future__ import annotations
-
 from math import prod
 
 from .bundle_homology import _total_space_homology, _wang_piece

@@ -42,7 +42,7 @@ made positive by negating its row of ``U``, so the signs go into ``U``.
 Before returning, ``snf`` checks ``U @ M @ V == S`` and, on the Hermite
 route, that the diagonal of S multiplies to |d|; together these force
 det U, det V = +-1. A failed check raises ``RuntimeError``.
-``smith_rows`` passes zero-width transforms and returns only the nonzero
+``smith_rows`` passes no transforms and returns only the nonzero
 Smith diagonal of a matrix given as rows; ``cokernel_rows`` reads a cokernel
 from it. ``smith_invariants`` and ``cokernel_group`` (and through the first
 ``smith_form``, which lays the invariants on a diagonal; a rank is their
@@ -86,8 +86,6 @@ through the slots' own setters, which ``Frozen`` keeps per class; only
 ``filling_family`` calls them itself, one field at a time, to build its
 members.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -430,7 +428,7 @@ def smith_rows(block: list[list[int]]) -> list[int]:
     # zero rows and columns go, and the block keeps its orientation
     block = [list(r) for r in zip(*[c for c in zip(*block) if any(c)]) if any(r)]
     while len(block) > 2 and len(block[0]) > 2:
-        out.append(_eliminate_pivot(block, [[[] for _ in block], [[] for _ in block[0]]]))
+        out.append(_eliminate_pivot(block, []))
         rows = [r for r in (r[1:] for r in block[1:]) if any(r)]
         block = [list(c) for c in zip(*rows) if any(c)]
     out += _determinantal_invariants(block)
@@ -452,11 +450,11 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
 def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> int:
     """Clear the first row and column around the smallest entry, return |pivot|.
 
-    ``sides`` holds two lists of rows, aligned with the block's rows and with
-    its columns; each row operation on the block is applied to ``sides[0]``,
-    and each transpose of the block reverses ``sides``. Works in place and may
-    leave the block transposed. On return the pivot divides every other entry
-    of the block.
+    ``sides`` holds the transforms the caller keeps: none, or two lists of
+    rows aligned with the block's rows and with its columns. Each row
+    operation on the block is applied to ``sides[0]``, and each transpose of
+    the block reverses ``sides``. Works in place and may leave the block
+    transposed. On return the pivot divides every other entry of the block.
     """
     # the first row-major entry of least |value|; no entry beats a unit
     least = pi = 0
@@ -467,12 +465,11 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
             if v == 1:
                 break
     pj = list(map(abs, block[pi])).index(least)
-    rows, cols = sides
     block[0], block[pi] = block[pi], block[0]
-    rows[0], rows[pi] = rows[pi], rows[0]
     for r in block:
         r[0], r[pj] = r[pj], r[0]
-    cols[0], cols[pj] = cols[pj], cols[0]
+    for side, k in zip(sides, (pi, pj)):
+        side[0], side[k] = side[k], side[0]
     while True:
         # row steps clear column 0; the transpose then turns row 0 into column 0
         for i in range(1, len(block)):
@@ -481,12 +478,12 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
                 continue
             if b % a == 0:
                 q = b // a
-                for mat in (block, sides[0]):
+                for mat in (block, *sides[:1]):
                     mat[i] = [y - q * x for x, y in zip(mat[0], mat[i])]
             else:
                 x, y, g = _bezout(a, b)
                 ag, bg = a // g, b // g
-                for mat in (block, sides[0]):
+                for mat in (block, *sides[:1]):
                     top, row = mat[0], mat[i]
                     mat[0] = [x * p + y * q for p, q in zip(top, row)]
                     mat[i] = [ag * q - bg * p for p, q in zip(top, row)]
@@ -495,11 +492,11 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
         if (p == 1 or p == -1) and any(top[1:]):
             # column 0 is zero below a unit pivot, so the column steps that
             # clear row 0 change only row 0 and the column side: no transposes
-            cols = sides[1]
-            for j in range(1, len(top)):
-                if top[j]:
-                    q = top[j] * p
-                    cols[j] = [y - q * x for x, y in zip(cols[0], cols[j])]
+            for cols in sides[1:]:
+                for j in range(1, len(top)):
+                    if top[j]:
+                        q = top[j] * p
+                        cols[j] = [y - q * x for x, y in zip(cols[0], cols[j])]
             top[1:] = [0] * (len(top) - 1)
             return 1
         block[:] = [list(c) for c in zip(*block)]
@@ -509,7 +506,7 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
         stray = next((i for i in range(1, len(block)) if any(map(p.__rmod__, block[i]))), None)
         if stray is None:
             return abs(p)
-        for mat in (block, sides[0]):
+        for mat in (block, *sides[:1]):
             mat[0] = [x + y for x, y in zip(mat[0], mat[stray])]
 
 

@@ -21,8 +21,6 @@ Like every ``Frozen`` type, a ``PlumbingGraph`` checks itself once, in
 checks it again.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Mapping
 
 from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det

@@ -4,8 +4,6 @@ Vertices are named after their twist generators (t1, t2) so word strings like
 "t1 t2" resolve directly against the graph.
 """
 
-from __future__ import annotations
-
 from .exact_linalg import IntMatrix
 from .plumbing import PlumbingGraph
 

@@ -25,8 +25,6 @@ of its matrix. Either way a word acts in exactly one degree, the graph's
 dimension, and ``word_action`` stores a matrix there and nowhere else.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Mapping
 
 from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_pow, row_product

@@ -309,20 +309,24 @@ def _unit_sides(rows: int, cols: int) -> list[list[list[int]]]:
             [[int(t == rows + j) for t in range(n)] for j in range(cols)]]
 
 
+# blocks and the (row, column) of the pivot the tie rule picks in each
+LEAST_ENTRY_BLOCKS = [
+    # a tie between rows: 2 at (0, 2), (1, 0) and (2, 1)
+    ([[4, 8, 2], [2, 8, 10], [6, 2, 4]], (0, 2)),
+    # the least entry is not a unit, and row 0 does not hold it
+    ([[12, 8, 20], [4, 8, 4], [4, 12, 16]], (1, 0)),
+    # a unit first found in the last row
+    ([[4, 6, 8], [6, 9, 12], [10, 14, -1]], (2, 2)),
+    # -1 comes before +1
+    ([[2, -1, 1], [1, 3, 5], [4, -1, 7]], (0, 1)),
+    # a unit pivot whose row has other nonzero entries
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], (0, 0)),
+    ([[3, 0, 5], [0, 0, 0], [7, 1, 1]], (2, 1)),
+]
+
+
 class TestPivotStep:
-    @pytest.mark.parametrize("rows, picked", [
-        # a tie between rows: 2 at (0, 2), (1, 0) and (2, 1)
-        ([[4, 8, 2], [2, 8, 10], [6, 2, 4]], (0, 2)),
-        # the least entry is not a unit, and row 0 does not hold it
-        ([[12, 8, 20], [4, 8, 4], [4, 12, 16]], (1, 0)),
-        # a unit first found in the last row
-        ([[4, 6, 8], [6, 9, 12], [10, 14, -1]], (2, 2)),
-        # -1 comes before +1
-        ([[2, -1, 1], [1, 3, 5], [4, -1, 7]], (0, 1)),
-        # a unit pivot whose row has other nonzero entries
-        ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], (0, 0)),
-        ([[3, 0, 5], [0, 0, 0], [7, 1, 1]], (2, 1)),
-    ])
+    @pytest.mark.parametrize("rows, picked", LEAST_ENTRY_BLOCKS)
     def test_first_row_major_entry_of_least_value(self, rows, picked):
         # every pivot here divides its block, so no Bezout step or stray fix
         # touches the first row of either side
@@ -334,6 +338,30 @@ class TestPivotStep:
         assert (i, j - len(rows)) == picked
         assert abs(block[0][0]) == least
         assert not any(block[0][1:]) and not any(r[0] for r in block[1:])
+
+    @pytest.mark.parametrize("rows", [rows for rows, _ in LEAST_ENTRY_BLOCKS])
+    def test_no_sides_give_the_same_step(self, rows):
+        # the transforms only follow the block: without them the step takes
+        # the same pivot and leaves the same block, in the same orientation
+        with_sides = [list(r) for r in rows]
+        pivot = exact_linalg._eliminate_pivot(with_sides, _unit_sides(len(rows), len(rows[0])))
+        block = [list(r) for r in rows]
+        assert exact_linalg._eliminate_pivot(block, []) == pivot
+        assert block == with_sides
+
+    def test_smith_rows_hands_the_step_no_transforms(self, monkeypatch):
+        # smith_rows returns no transforms, so it builds none for the step
+        step = exact_linalg._eliminate_pivot
+        seen = []
+
+        def spy(block, sides):
+            seen.append(list(sides))
+            return step(block, sides)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate_pivot", spy)
+        smith_invariants(parse_matrix(DENSE_24))
+        # DENSE_24 reaches the pivot loop, and every step got empty sides
+        assert seen and not any(seen)
 
     @pytest.mark.parametrize("rows, step_block, step_sides, transposed", [
         # the unit clears its own row: the block keeps its orientation

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import random
+import string
 from operator import sub
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # optional: the property test skips without it
+    given = None
 
 import plumbhom.exact_linalg as exact_linalg
 import plumbhom.twist_engine as twist_engine
@@ -283,6 +289,23 @@ class TestWordGrammar:
 
     def test_str_roundtrip(self):
         word = parse_word("t1^3 t2^-1 t1")
+        assert parse_word(str(word)) == word
+
+
+if given is None:
+    def test_word_str_roundtrip_property():
+        pytest.skip("hypothesis is not installed")
+else:
+    # exponents stay far under the digit limit that int() applies when parsing
+    _EXPONENTS = st.one_of(st.integers(1, 10**100 - 1), st.integers(-(10**100) + 1, -1))
+    # labels match [A-Za-z0-9_]+
+    _LABELS = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=12)
+    _LETTERS = st.tuples(_LABELS, _EXPONENTS)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_LETTERS, max_size=8))
+    def test_word_str_roundtrip_property(letters):
+        word = TwistWord(letters)
         assert parse_word(str(word)) == word
 
 
