@@ -95,8 +95,6 @@ def _render(render, *args) -> str:
     with the input. The input was parsed under the limit, so it is lifted
     only to render.
     """
-    if not hasattr(sys, "get_int_max_str_digits"):
-        return render(*args)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

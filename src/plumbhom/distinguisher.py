@@ -16,13 +16,13 @@ H_j(V). So the degrees below d are those of the bundle with monodromies
 (Id, Id), read once per family from ``_total_space_homology``, the one
 assembly of the Wang sequence, with no reduction; and D_(d-1) contributes
 Z^(2 r_(d-1)) to H_d. Every member, k = 1 included, takes the same step.
-The running product phi^k_d is kept as rows and advanced by phi_d's
-columns, sliced once per family, so each member costs one small product
-(``row_product``) and one reduction of D_d, built as rows by
-``_wang_piece``. The base lives in degrees up to d, so only
+phi^k_d comes as rows from ``twist_engine._powers``, which applies the
+word's letters to phi^(k-1)_d by the rule ``word_action`` uses, so each
+member costs one pass over the word and one reduction of D_d, built as
+rows by ``_wang_piece``. The base lives in degrees up to d, so only
 H_d = coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(kernel rank of D_d)
 change. A member's graded group is the lower degrees, wrapped once per
-family, plus these two, set through the slot setters as its entry is; a
+family, plus these two, built through ``_unchecked``; a
 changed degree whose value stays keeps its object, so the renderer formats
 each distinct group once. A member's class is keyed on the fields of H_d
 and H_(d+1), a key that agrees with equality of the whole graded group
@@ -43,9 +43,9 @@ recurrence stays in exact integers throughout.
 from math import prod
 
 from .bundle_homology import _total_space_homology, _wang_piece
-from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det, row_product
+from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
-from .twist_engine import IDENTITY_ACTION, TwistWord, word_action
+from .twist_engine import IDENTITY_ACTION, TwistWord, _powers
 
 INDEXING_NOTE = (
     "cokernel torsion is reported in its own degree (mapping-cone orientation "
@@ -78,12 +78,11 @@ class FillingReport(Frozen):
 def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> FillingReport:
     """Build the family E_k, k = 1..k_max, and classify by graded homology.
 
-    ``word`` is a TwistWord over the graph; phi^k is kept as a running product.
+    ``word`` is a TwistWord over the graph; phi^k is advanced letter by letter.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
-    # a word acts in exactly one degree
-    (d, phi), = word_action(graph, word).items()
+    d = graph.dimension
     base = base_homology(graph)
     # the identity partner stores no block, and phi none off d, so D_j = 0 there:
     # below d, H_j is that of the bundle with monodromies (Id, Id)
@@ -93,19 +92,10 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     # the base lives in degrees up to d, so a member changes d and d + 1 alone;
     # held and held_up are the member before's, 0 before k = 1
     held = held_up = AbelianGroup._unchecked(0, ())
-    # phi^k_d as rows, advanced by phi_d's columns, sliced once
-    power = phi.to_rows()
-    columns = phi._columns()
-    r = len(power)
-    new = object.__new__
-    set_groups, = GradedGroup._setters
-    set_k, set_homology, set_factors, set_order, set_boundary, set_class = FillingEntry._setters
     classes: dict[tuple, int] = {}
     entries = []
-    for k in range(1, k_max + 1):
-        if k > 1:
-            power = row_product(power, columns)
-        coker, kernel = _wang_piece((power,), r, 2)
+    for k, power in zip(range(1, k_max + 1), _powers(graph, word)):
+        coker, kernel = _wang_piece((power,), len(power), 2)
         # H_d and H_(d+1), each the object the member before held while its value stays
         free, factors = coker.free_rank + below, coker.invariant_factors
         if held.free_rank != free or held.invariant_factors != factors:
@@ -114,18 +104,10 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
             held_up = AbelianGroup._unchecked(kernel, ())
         # H_(d+1) is free, and every other degree fixed, so this key is graded equality
         class_id = classes.setdefault((free, factors, kernel), len(classes) + 1)
-        homology = new(GradedGroup)
-        set_groups(homology, {**lower, d: held, d + 1: held_up} if free or factors
-                   else {**lower, d + 1: held_up})
-        entry = new(FillingEntry)
-        set_k(entry, k)
-        set_homology(entry, homology)
-        set_factors(entry, factors)
-        set_order(entry, prod(factors))
+        homology = GradedGroup._unchecked({**lower, d: held, d + 1: held_up} if free or factors
+                                          else {**lower, d + 1: held_up})
         # (phi^k, Id) sends [a, b] to [phi^k, Id] = Id, so the boundary condition holds
-        set_boundary(entry, True)
-        set_class(entry, class_id)
-        entries.append(entry)
+        entries.append(FillingEntry(k, homology, factors, prod(factors), True, class_id))
     return FillingReport(
         graph=graph,
         word=str(word),

@@ -82,9 +82,8 @@ then stores the fields with one ``_set`` call. Values checked before (a
 product's entries, a Smith diagonal, the pieces of a group built before)
 skip the checks through the one ``Frozen._unchecked``: no ``__init__``, the
 same ``_set``, so a wrong number of fields still raises. ``_set`` assigns
-through the slots' own setters, which ``Frozen`` keeps per class; only
-``filling_family`` calls them itself, one field at a time, to build its
-members.
+through the slots' own setters, which ``Frozen`` keeps per class for
+``_set`` alone.
 """
 
 from collections import namedtuple

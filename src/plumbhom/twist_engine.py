@@ -20,12 +20,13 @@ t^e therefore costs no more than t: no power, inverse or product is formed.
 Dimension-1 graphs have no derived intersection data; their degree-1 actions
 come from ``h1_actions`` entries on the graph (the ``a2-3pt-n1`` preset in
 ``presets`` carries one for t1). A stored matrix may be any unimodular matrix,
-so a dimension-1 letter t^e multiplies the running product by the e-th power
-of its matrix. Either way a word acts in exactly one degree, the graph's
-dimension, and ``word_action`` stores a matrix there and nowhere else.
+so a dimension-1 letter t^e multiplies by the e-th power of its matrix.
+Either way a word acts in exactly one degree, the graph's dimension:
+``_powers`` yields phi, phi^2, ... there by these letter rules, and
+``word_action`` stores its first yield there and nowhere else.
 """
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .exact_linalg import Frozen, IntMatrix, det_adjugate, mat_pow, row_product
 from .plumbing import PlumbingGraph, _sorted_degrees, intersection_form
@@ -148,20 +149,29 @@ IDENTITY_ACTION = GradedAction({})
 def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
     """Composite action of a twist word, leftmost letter applied last.
 
-    The product starts from I as rows and takes the letters in word order,
-    each on the right, and is stored in the graph's dimension alone. For
-    n >= 2 the intersection form is built once per word, and each letter t^e
-    is taken in closed form (module docstring), as a rank-one update of the
-    rows with a nonzero entry in column t. A dimension-1 letter is a stored
-    matrix, which may be any unimodular matrix, so the rows are multiplied by
-    its power from ``GradedAction.power``.
+    The first power from ``_powers``, stored in the graph's dimension alone.
+    """
+    rows = next(_powers(graph, word))
+    size = len(rows)
+    return GradedAction({graph.dimension: IntMatrix._unchecked(
+        size, size, tuple([e for r in rows for e in r]))})
+
+
+def _powers(graph: PlumbingGraph, word: TwistWord) -> Iterator[list[list[int]]]:
+    """phi, phi^2, ... in the graph's dimension, as rows.
+
+    Yields one list, advanced in place, which the caller must copy to keep.
+    The letters are prepared once; each power takes them in word order, each
+    on the right. For n >= 2 a letter t^e is a rank-one update (module
+    docstring); a dimension-1 letter multiplies by the columns of its stored
+    matrix's power from ``GradedAction.power``.
     """
     n = graph.dimension
     index = {label: i for i, label in enumerate(graph.vertices)}
     size = len(index) if n > 1 else graph.edge_count + 1
     form = intersection_form(graph) if n > 1 else None
     sign = (-1) ** ((n + 1) * (n + 2) // 2)
-    rows = IntMatrix.identity(size).to_rows()
+    steps = []
     for label, exp in word.letters:
         v = index.get(label)
         if v is None:
@@ -173,15 +183,20 @@ def word_action(graph: PlumbingGraph, word: TwistWord) -> GradedAction:
                     f"dimension-1 twist action for {label!r} is not derived from the graph; "
                     "use the built-in preset or an h1_action entry in the graph file"
                 )
-            power = GradedAction({1: stored}).power(exp).matrix(1)
-            rows = row_product(rows, power._columns())
+            steps.append((None, GradedAction({1: stored}).power(exp).matrix(1)._columns()))
         else:
             # T^e = I + c e_v f^T with f column v of the form, so row r gains c r[v] f
             c = sign * (exp if n % 2 else exp % 2)
-            update = [(j, c * f) for j, f in enumerate(form.entries[v::size]) if f]
+            steps.append((v, [(j, c * f) for j, f in enumerate(form.entries[v::size]) if f]))
+    rows = IntMatrix.identity(size).to_rows()
+    while True:
+        for v, step in steps:
+            if v is None:
+                rows[:] = row_product(rows, step)
+                continue
             for r in rows:
                 t = r[v]
                 if t:
-                    for j, cf in update:
+                    for j, cf in step:
                         r[j] += t * cf
-    return GradedAction({n: IntMatrix._unchecked(size, size, tuple([e for r in rows for e in r]))})
+        yield rows

@@ -9,11 +9,12 @@ import pytest
 
 import plumbhom.bundle_homology as bundle_homology
 import plumbhom.distinguisher as distinguisher
+from behaviour_corpus import CORPUS
 from oracles import classify_distinct, cofactor_det, pow_square
 from plumbhom.bundle_homology import Representation, surface_bundle_homology
 from plumbhom.distinguisher import filling_family, torsion_closed_form
 from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_rows, mat_pow
-from plumbhom.plumbing import GradedGroup, PlumbingGraph, base_homology
+from plumbhom.plumbing import GradedGroup, PlumbingGraph, base_homology, parse_graph
 from plumbhom.presets import GRAPH_PRESETS, graph_preset
 from plumbhom.twist_engine import IDENTITY_ACTION, GradedAction, TwistWord, parse_word, word_action
 from test_plumbing import A2_3PT_N2, A2_3PT_N3
@@ -147,8 +148,8 @@ class TestFillingFamily:
 
     def test_checked_constructions_do_not_grow_with_k(self, monkeypatch):
         # each member's groups reuse checked Smith invariants, phi^k is kept as
-        # rows rather than actions, and the word's action and the base
-        # homology are built once per family
+        # rows rather than actions, and the word's powers and the base
+        # homology are started once per family
         counts = Counter()
         for cls in (AbelianGroup, GradedAction, GradedGroup):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -156,7 +157,7 @@ class TestFillingFamily:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        for name in ("word_action", "base_homology"):
+        for name in ("_powers", "base_homology"):
             def counting(*args, _fn=getattr(distinguisher, name), _name=name):
                 counts[_name] += 1
                 return _fn(*args)
@@ -167,7 +168,7 @@ class TestFillingFamily:
         counts.clear()
         filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 30)
         assert dict(counts) == few
-        assert few["word_action"] == few["base_homology"] == 1
+        assert few["_powers"] == few["base_homology"] == 1
 
     def test_members_match_the_general_route(self):
         # each member against surface_bundle_homology on (phi^k, Id), with
@@ -227,7 +228,8 @@ def _random_word(rng: random.Random, labels) -> TwistWord:
 
 
 def _family_cases(rng: random.Random):
-    """The presets, then A_n chains in dimensions 2 to 5, some with Coxeter words."""
+    """The presets, then A_n chains in dimensions 2 to 5, some with Coxeter words,
+    then a dimension-1 graph whose words mix two stored H_1 actions."""
     for name in sorted(GRAPH_PRESETS):
         graph = graph_preset(name)
         labels = ("t1",) if graph.dimension == 1 else graph.vertices  # only t1 acts on H_1
@@ -241,3 +243,7 @@ def _family_cases(rng: random.Random):
             yield graph, TwistWord(tuple((v, 1) for v in rng.sample(labels, len(labels))))
         else:
             yield graph, _random_word(rng, labels)
+    graph = parse_graph((CORPUS / "a2-3pt-n1-two-actions.graph.json").read_text())
+    yield graph, parse_word("t1^2 t2^-1 t1 t2^3")
+    for _ in range(6):
+        yield graph, _random_word(rng, ("t1", "t2"))

@@ -18,7 +18,9 @@ were captured before every command returned its text to one write in ``run``.
 The two ``fillings-a20-chain-*.csv`` files (the A_20 growth words) were
 captured before the Smith special cases of the third code diet were deleted;
 no test here reads them: CI's growth-regime steps ``cmp`` the installed
-command's output against them.
+command's output against them. ``fillings-a20-chain-coxeter-k84.csv``, the
+Coxeter word of order 42 through two periods, was captured before the family
+took its powers letter by letter from ``twist_engine._powers``.
 Regenerate one with ``PYTHONPATH=src python -m plumbhom <argv> >
 tests/golden/<name>`` only when an output is meant to change.
 """
@@ -78,6 +80,12 @@ for fmt in ("table", "csv", "json"):
         "fillings", "--graph", str(GOLDEN / "a8-chain-n3.graph.json"),
         "--word", "v0 v1 v2 v3 v4 v5 v6 v7", "--kmax", "6", "--format", fmt,
     ]
+# the A_20 Coxeter word, of order 42: two full periods
+A20_COXETER = "fillings-a20-chain-coxeter-k84.csv"
+CASES[A20_COXETER] = [
+    "fillings", "--graph", str(GOLDEN / "a20-chain-n3.graph.json"),
+    "--word", " ".join(f"v{i}" for i in range(20)), "--kmax", "84", "--format", "csv",
+]
 EXIT_CODES = {f"validate-bad-sign.{fmt}": 1 for fmt in ("table", "csv", "json")}
 
 
@@ -96,3 +104,19 @@ def test_out_file_matches_golden(capsys, tmp_path, fmt):
     assert run([*CASES[name], "--out", str(target)]) == 0
     assert capsys.readouterr() == ("", "")
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_coxeter_family_repeats_with_the_word_order():
+    # phi has order 42, so member k + 42 repeats member k in every field but k;
+    # member 42 is the one with phi^k = I, free in degrees 3 and 4
+    members: dict[int, list[list[str]]] = {}
+    header, *lines = (GOLDEN / A20_COXETER).read_text().splitlines()
+    assert header == "k,degree,rank,invariant_factors,class"
+    for line in lines:
+        k, *fields = line.split(",")
+        members.setdefault(int(k), []).append(fields)
+    assert sorted(members) == list(range(1, 85))
+    for k in range(1, 43):
+        assert members[k + 42] == members[k]
+    assert ["3", "20", "", "8"] in members[42]
+    assert len({fields[-1][-1] for fields in members.values()}) == 8

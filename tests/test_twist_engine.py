@@ -15,9 +15,10 @@ except ImportError:  # optional: the property test skips without it
 
 import plumbhom.exact_linalg as exact_linalg
 import plumbhom.twist_engine as twist_engine
+from behaviour_corpus import CORPUS
 from oracles import cofactor_det
 from plumbhom.exact_linalg import IntMatrix, mat_mul
-from plumbhom.plumbing import PlumbingGraph, intersection_form
+from plumbhom.plumbing import PlumbingGraph, intersection_form, parse_graph
 from plumbhom.presets import GRAPH_PRESETS, graph_preset
 from plumbhom.twist_engine import (
     GradedAction,
@@ -206,6 +207,52 @@ class TestWordAction:
                 [i + k * d for i, d in zip(IntMatrix.identity(t.rows).entries, n.entries)],
             )
             assert power == expected
+
+
+class TestPowers:
+    """``_powers`` yields phi, phi^2, ... as one list of rows, advanced in place."""
+
+    GRAPHS = (
+        *GRAPH_PRESETS.values(),
+        parse_graph((CORPUS.parent / "golden" / "a8-chain-n3.graph.json").read_text()),
+        parse_graph((CORPUS / "a2-3pt-n1-two-actions.graph.json").read_text()),
+    )
+
+    @staticmethod
+    def _words(graph, rng):
+        # every letter that acts: in dimension 1, those with a stored h1_action
+        labels = [v for v in graph.vertices
+                  if graph.dimension > 1 or graph.h1_action(v) is not None]
+        yield TwistWord(())
+        yield TwistWord(((labels[0], 10**50), (labels[-1], -1)))
+        for _ in range(4):
+            yield TwistWord(tuple((rng.choice(labels), rng.choice((-3, -2, -1, 1, 2)))
+                                  for _ in range(rng.randint(1, 5))))
+
+    def test_yields_the_powers_of_the_word_action(self):
+        rng = random.Random(25)
+        for graph in self.GRAPHS:
+            n = graph.dimension
+            for word in self._words(graph, rng):
+                phi = word_action(graph, word)
+                powers = twist_engine._powers(graph, word)
+                for k in range(1, 7):
+                    assert next(powers) == phi.power(k).matrix(n).to_rows()
+
+    def test_generators_on_one_word_are_independent(self):
+        rng = random.Random(26)
+        for graph in self.GRAPHS:
+            for word in self._words(graph, rng):
+                # the second runs one power behind the first, so neither list is shared
+                first = twist_engine._powers(graph, word)
+                second = twist_engine._powers(graph, word)
+                behind = [r[:] for r in next(first)]
+                for _ in range(6):
+                    ahead = next(first)
+                    assert next(second) == behind
+                    behind = [r[:] for r in ahead]
+                # one list, advanced in place
+                assert next(first) is ahead
 
 
 def _reflection(graph, vertex):
