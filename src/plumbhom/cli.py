@@ -222,9 +222,10 @@ def _fillings_csv(report: FillingReport) -> str:
 def _cells(entries, fmt):
     """Yield each entry with ``fmt(k, g)`` for its degrees k and groups g, in order.
 
-    A degree whose group is the object the entry before held keeps its text;
-    the family keeps a degree's object while its value stays (identity, not
-    equality: hashing a group costs more than formatting it).
+    A degree whose group is the object the entry before held keeps its text.
+    The family shares one object per value in every degree but its torsion
+    degree, whose group each member builds anew (identity, not equality:
+    hashing a group costs more than formatting it).
     """
     held: dict[int, tuple[AbelianGroup, str]] = {}
     for e in entries:

@@ -19,15 +19,18 @@ Z^(2 r_(d-1)) to H_d. Every member, k = 1 included, takes the same step.
 phi^k_d comes as rows from ``twist_engine._powers``, which applies the
 word's letters to phi^(k-1)_d by the rule ``word_action`` uses, so each
 member costs one pass over the word and one reduction of D_d, built as
-rows by ``_wang_piece``. The base lives in degrees up to d, so only
-H_d = coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(kernel rank of D_d)
-change. A member's graded group is the lower degrees, wrapped once per
-family, plus these two, built through ``_unchecked``; a
-changed degree whose value stays keeps its object, so the renderer formats
-each distinct group once. A member's class is keyed on the fields of H_d
-and H_(d+1), a key that agrees with equality of the whole graded group
-(numbering the whole graded groups by first occurrence gives the same ids,
-which the tests check).
+rows by ``_wang_piece``. The base lives in degrees up to d, so only H_d =
+coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(kernel rank of D_d) change, and
+that kernel rank is r_d plus the free rank of coker D_d. A member's graded
+group is the lower degrees, wrapped once per family, plus these two, built
+through ``_unchecked`` from the member's own reduction alone: H_d is the
+member's own object, and H_(d+1) comes from a per-family table of one
+object per possible kernel rank, so every degree but d holds one object
+per value and the renderer formats each of those once. H_d fixes the
+kernel rank, so a member's class is keyed on the fields of H_d alone, a
+key that agrees with equality of the whole graded group (numbering the
+whole graded groups by first occurrence gives the same ids, which the
+tests check).
 ``test_members_match_the_general_route`` checks every member against
 ``surface_bundle_homology`` on (phi^k, Id), the general assembly of the
 Wang sequence. The boundary condition holds by construction: (phi^k, Id)
@@ -90,22 +93,21 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
              if j < d}
     below = 2 * base.rank(d - 1)
     # the base lives in degrees up to d, so a member changes d and d + 1 alone;
-    # held and held_up are the member before's, 0 before k = 1
-    held = held_up = AbelianGroup._unchecked(0, ())
+    # H_(d+1) = Z^(r + f) for coker D_d of free rank f <= r, one object per f
+    r = base.rank(d)
+    uppers = [AbelianGroup._unchecked(r + f, ()) for f in range(r + 1)]
     classes: dict[tuple, int] = {}
     entries = []
     for k, power in zip(range(1, k_max + 1), _powers(graph, word)):
-        coker, kernel = _wang_piece((power,), len(power), 2)
-        # H_d and H_(d+1), each the object the member before held while its value stays
+        coker, _ = _wang_piece((power,), r, 2)
         free, factors = coker.free_rank + below, coker.invariant_factors
-        if held.free_rank != free or held.invariant_factors != factors:
-            held = AbelianGroup._unchecked(free, factors) if below else coker
-        if held_up.free_rank != kernel:
-            held_up = AbelianGroup._unchecked(kernel, ())
-        # H_(d+1) is free, and every other degree fixed, so this key is graded equality
-        class_id = classes.setdefault((free, factors, kernel), len(classes) + 1)
-        homology = GradedGroup._unchecked({**lower, d: held, d + 1: held_up} if free or factors
-                                          else {**lower, d + 1: held_up})
+        middle = AbelianGroup._unchecked(free, factors) if below else coker
+        upper = uppers[coker.free_rank]
+        # H_d fixes H_(d+1), and the family every other degree, so this key is
+        # graded equality
+        class_id = classes.setdefault((free, factors), len(classes) + 1)
+        homology = GradedGroup._unchecked({**lower, d: middle, d + 1: upper} if free or factors
+                                          else {**lower, d + 1: upper})
         # (phi^k, Id) sends [a, b] to [phi^k, Id] = Id, so the boundary condition holds
         entries.append(FillingEntry(k, homology, factors, prod(factors), True, class_id))
     return FillingReport(

@@ -185,9 +185,11 @@ def _powers(graph: PlumbingGraph, word: TwistWord) -> Iterator[list[list[int]]]:
                 )
             steps.append((None, GradedAction({1: stored}).power(exp).matrix(1)._columns()))
         else:
-            # T^e = I + c e_v f^T with f column v of the form, so row r gains c r[v] f
+            # T^e = I + c e_v f^T with f column v of the form, so row r gains c r[v] f;
+            # a letter with no nonzero update (c = 0 for even e in even n) is no step
             c = sign * (exp if n % 2 else exp % 2)
-            steps.append((v, [(j, c * f) for j, f in enumerate(form.entries[v::size]) if f]))
+            if update := [(j, c * f) for j, f in enumerate(form.entries[v::size]) if c * f]:
+                steps.append((v, update))
     rows = IntMatrix.identity(size).to_rows()
     while True:
         for v, step in steps:

@@ -207,6 +207,16 @@ class TestFillingFamily:
                 seen.add("negative")
         assert seen == {"dropped", "finite order", "negative"}
 
+    def test_members_share_the_upper_group_by_kernel_rank(self):
+        # t1 t2 has order 6 on a2-1pt-n5: H_6 = Z^2 but at k = 6 and 12, where
+        # phi^k = I and H_6 = Z^4; H_(d+1) is one object per kernel rank
+        report = filling_family(graph_preset("a2-1pt-n5"), parse_word("t1 t2"), 13)
+        uppers = [e.homology.group(6) for e in report.entries]
+        assert [g.free_rank for g in uppers] == [4 if k % 6 == 0 else 2 for k in range(1, 14)]
+        assert len({id(g) for g in uppers}) == 2
+        assert report.distinct_classes == 4
+        assert [e.class_id for e in report.entries] == [1, 2, 3, 2, 1, 4, 1, 2, 3, 2, 1, 4, 1]
+
     def test_kmax_validated(self):
         with pytest.raises(ValueError, match="k_max"):
             filling_family(A2_3PT_N3, parse_word("L1"), 0)
@@ -247,3 +257,36 @@ def _family_cases(rng: random.Random):
     yield graph, parse_word("t1^2 t2^-1 t1 t2^3")
     for _ in range(6):
         yield graph, _random_word(rng, ("t1", "t2"))
+
+
+_METAMORPHIC_GRAPHS = (
+    parse_graph((CORPUS.parent / "golden" / "a8-chain-n3.graph.json").read_text()),
+    graph_preset("a2-3pt-n3"),
+)
+
+
+def _members(graph, n, letters):
+    """Per member of the family to k = 8 on ``graph`` rebuilt in dimension n:
+    torsion factors, H_d, H_(d+1) and class id."""
+    report = filling_family(PlumbingGraph(n, graph.vertices, graph.edges), TwistWord(letters), 8)
+    return [(e.torsion_factors, e.homology.group(n), e.homology.group(n + 1), e.class_id)
+            for e in report.entries]
+
+
+def test_metamorphic_relations():
+    # a conjugate word (rotated) and the inverse word (reversed, exponents
+    # negated) give the same torsion coker(phi^k - I) for every k; so does
+    # dimension n + 4, where the twist sign and the form repeat, but H_d there
+    # loses or gains Z^(2 rank H_(d-1)(V)), so H_d is compared by its factors
+    for seed in range(100):
+        rng = random.Random(seed)
+        graph = rng.choice(_METAMORPHIC_GRAPHS)
+        n = rng.randint(2, 5)
+        letters = [(rng.choice(graph.vertices), rng.choice((-2, -1, 1, 2, 3)))
+                   for _ in range(rng.randint(1, 6))]
+        members = _members(graph, n, letters)
+        assert _members(graph, n, letters[1:] + letters[:1]) == members
+        assert _members(graph, n, [(label, -exp) for label, exp in reversed(letters)]) == members
+        shifted = _members(graph, n + 4, letters)
+        assert ([(t, h.invariant_factors, up, c) for t, h, up, c in shifted]
+                == [(t, h.invariant_factors, up, c) for t, h, up, c in members])

@@ -254,6 +254,17 @@ class TestPowers:
                 # one list, advanced in place
                 assert next(first) is ahead
 
+    @pytest.mark.parametrize("text", ["t1^2 t2", "t1^-2 t2", "t1^4 t2"])
+    def test_even_powers_of_a_letter_act_as_the_identity_in_even_dimension(self, text):
+        # T^2 = I in even n, so the t1 letter takes no step, yet each power is the word's
+        graph = graph_preset("a2-3pt-n2")
+        word = parse_word(text)
+        phi = word_action(graph, word)
+        assert phi == _reflection(graph, "t2")
+        powers = twist_engine._powers(graph, word)
+        for k in range(1, 11):
+            assert next(powers) == phi.power(k).matrix(2).to_rows()
+
 
 def _reflection(graph, vertex):
     # Picard-Lefschetz: column i of T is e_i + s <e_i, L> L, with L = e_v
