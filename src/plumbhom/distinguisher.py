@@ -8,45 +8,41 @@ records, per k, the full graded group, the torsion in the distinguished
 degree, and a distinctness class; ks with trivial torsion are flagged rather
 than assumed distinct.
 
-A twist word moves exactly one degree d, the graph's dimension, so a member
-differs from the base only there: D_d = phi^k_d - I, and every other degree
-has D_j = 0 (the identity partner adds a zero block, and phi stores none
-off d), so coker D_j = Z^(r_j) and its kernel rank is 2 r_j, r_j = rank
+A twist word moves one degree d, the graph's dimension: D_d = phi^k_d - I,
+and every other D_j = 0 (the identity partner adds a zero block, and phi
+stores none off d), so coker D_j = Z^(r_j), of kernel rank 2 r_j, r_j = rank
 H_j(V). So the degrees below d are those of the bundle with monodromies
 (Id, Id), read once per family from ``_total_space_homology``, the one
-assembly of the Wang sequence, with no reduction; and D_(d-1) contributes
-Z^(2 r_(d-1)) to H_d. Every member, k = 1 included, takes the same step.
-phi^k_d comes as rows from ``twist_engine._powers``, which applies the
-word's letters to phi^(k-1)_d by the rule ``word_action`` uses, so each
-member costs one pass over the word and one reduction of D_d, built as
-rows by ``_wang_piece``. The base lives in degrees up to d, so only H_d =
-coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(kernel rank of D_d) change, and
-that kernel rank is r_d plus the free rank of coker D_d. A member's graded
-group is the lower degrees, wrapped once per family, plus these two, built
-through ``_unchecked`` from the member's own reduction alone: H_d is the
-member's own object, and H_(d+1) comes from a per-family table of one
-object per possible kernel rank, so every degree but d holds one object
-per value and the renderer formats each of those once. H_d fixes the
-kernel rank, so a member's class is keyed on the fields of H_d alone, a
-key that agrees with equality of the whole graded group (numbering the
-whole graded groups by first occurrence gives the same ids, which the
-tests check).
-``test_members_match_the_general_route`` checks every member against
-``surface_bundle_homology`` on (phi^k, Id), the general assembly of the
-Wang sequence. The boundary condition holds by construction: (phi^k, Id)
-sends the boundary word [a, b] to [phi^k, Id] = Id for every k, so
-``boundary_ok`` is true on every entry.
+assembly of the Wang sequence; the base lives in degrees up to d, so only
+H_d = coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(r_d + free rank of coker
+D_d) change with k. ``_cokernels`` gives each coker D_d by one of two routes:
+- r_d = 2: phi = [[a, b], [c, e]] is read once from ``twist_engine._powers``.
+  With t = a + e, delta = det phi and u_(-1) = 0, u_0 = 1, u_k = t u_(k-1) -
+  delta u_(k-2), phi^k = u_(k-1) phi - delta u_(k-2) I (Cayley-Hamilton), so
+  D_d has entry gcd d_1 = gcd(u_(k-1) g, u_(k-1) a - delta u_(k-2) - 1), g =
+  gcd(b, c, a - e), and det D_d = delta^k - trace(phi^k) + 1, with no power
+  and no reduction. d_1 and |det D_d| / d_1 must multiply back and form a
+  divisor chain (else exit code 2); a singular D_d has free rank 1 and
+  invariant d_1, or free rank 2 if d_1 = 0.
+- else ``_powers`` applies the word's letters to phi^(k-1)_d by the rule
+  ``word_action`` uses, and ``_wang_piece`` reduces D_d as rows.
 
-``torsion_closed_form`` cross-checks the 2x2 determinant-1 case: with
-eigenvalues l, 1/l the torsion cardinality is |det(M^k - I)| = |2 - t_k|,
-where t_k = trace(M^k) satisfies t_k = t(M) t_{k-1} - t_{k-2}, t_0 = 2. The
-recurrence stays in exact integers throughout.
+A member's H_d is its own object and its H_(d+1) one of a per-family table
+by kernel rank, both built through ``_unchecked``, so the renderer formats
+each value of a degree other than d once. H_d fixes the kernel rank, so a
+class is keyed on H_d alone, which agrees with equality of the whole graded
+group (the tests number those by first occurrence and get the same ids, and
+check every member against ``surface_bundle_homology`` on (phi^k, Id)).
+(phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id, so
+``boundary_ok`` is true on every entry. ``torsion_closed_form`` reads the
+recurrence: |det(M^k - I)| = |2 - trace(M^k)| when det M = 1.
 """
 
-from math import prod
+from collections.abc import Iterator
+from math import gcd, prod
 
 from .bundle_homology import _total_space_homology, _wang_piece
-from .exact_linalg import AbelianGroup, Frozen, IntMatrix, det
+from .exact_linalg import AbelianGroup, Frozen, IntMatrix, _check_invariants, det
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
 from .twist_engine import IDENTITY_ACTION, TwistWord, _powers
 
@@ -81,7 +77,7 @@ class FillingReport(Frozen):
 def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> FillingReport:
     """Build the family E_k, k = 1..k_max, and classify by graded homology.
 
-    ``word`` is a TwistWord over the graph; phi^k is advanced letter by letter.
+    ``word`` is a TwistWord over the graph; ``_cokernels`` gives each coker D_d.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
@@ -98,8 +94,7 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     uppers = [AbelianGroup._unchecked(r + f, ()) for f in range(r + 1)]
     classes: dict[tuple, int] = {}
     entries = []
-    for k, power in zip(range(1, k_max + 1), _powers(graph, word)):
-        coker, _ = _wang_piece((power,), r, 2)
+    for k, coker in zip(range(1, k_max + 1), _cokernels(graph, word, r)):
         free, factors = coker.free_rank + below, coker.invariant_factors
         middle = AbelianGroup._unchecked(free, factors) if below else coker
         upper = uppers[coker.free_rank]
@@ -122,12 +117,39 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     )
 
 
-def torsion_closed_form(action: IntMatrix, k: int) -> int:
-    """|2 - trace(M^k)| for a 2x2 determinant-1 matrix, by integer recurrence.
+def _cokernels(graph: PlumbingGraph, word: TwistWord, r: int) -> Iterator[AbelianGroup]:
+    """coker(phi^k_d - I) for k = 1, 2, ..., where r = rank H_d(V) (module docstring)."""
+    powers = _powers(graph, word)
+    if r != 2:
+        return (_wang_piece((power,), r, 2)[0] for power in powers)
+    (a, b), (c, e) = next(powers)
+    g = gcd(b, c, a - e)  # d_1 and det D_k from phi^k = u phi - s I
+    return (_cokernel_2x2(gcd(u * g, u * a - s - 1), delta_k - (a + e) * u + 2 * s + 1)
+            for u, s, delta_k in _recurrence(a + e, a * e - b * c))
 
-    Equals |det(M^k - I)|, the torsion cardinality of the cokernel of
-    M^k - I when that matrix is nonsingular. No irrational arithmetic: the
-    eigenvalues enter only through trace(M) and det(M) = 1.
+
+def _cokernel_2x2(d1: int, det_k: int) -> AbelianGroup:
+    """coker D of a 2x2 D from the gcd d1 of its entries and det_k = det D, checked."""
+    diag = [d1, abs(det_k) // d1] if det_k else [d1] if d1 else []
+    if det_k and d1 * diag[1] != abs(det_k):
+        raise RuntimeError("Smith invariants do not multiply to |det(phi^k - I)|")
+    _check_invariants(diag, 2)
+    return AbelianGroup._unchecked(2 - len(diag), tuple(diag[diag.count(1):]))
+
+
+def _recurrence(t: int, delta: int) -> Iterator[tuple[int, int, int]]:
+    """(u, s, delta^k) with phi^k = u phi - s I, k = 1, 2, ..., for trace t, det delta."""
+    u, s, delta_k = 1, 0, delta  # u_(k-1) and s = delta u_(k-2) at k = 1
+    while True:
+        yield u, s, delta_k
+        u, s, delta_k = t * u - s, delta * u, delta_k * delta
+
+
+def torsion_closed_form(action: IntMatrix, k: int) -> int:
+    """|2 - trace(M^k)| = |det(M^k - I)| for a 2x2 determinant-1 matrix.
+
+    The torsion cardinality of coker(M^k - I) when M^k - I is nonsingular,
+    by the 2x2 families' integer recurrence (eigenvalues never enter).
     """
     if action.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {action.rows}x{action.cols}")
@@ -136,10 +158,8 @@ def torsion_closed_form(action: IntMatrix, k: int) -> int:
         raise ValueError(f"determinant must be 1, got {determinant}")
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    trace = action.entry(0, 0) + action.entry(1, 1)
-    t_prev, t_cur = 2, trace
-    if k == 0:
-        return 0
-    for _ in range(k - 1):
-        t_prev, t_cur = t_cur, trace * t_cur - t_prev
-    return abs(2 - t_cur)
+    t = action.entry(0, 0) + action.entry(1, 1)
+    u, s = 0, -1  # M^0 = 0 M + I
+    for _, (u, s, _) in zip(range(k), _recurrence(t, 1)):
+        pass
+    return abs(2 - t * u + 2 * s)

@@ -7,10 +7,13 @@ start with a subcommand; a block near the end pins help and usage text
 (``--help`` for the program and each subcommand, no subcommand, an unknown
 one, and a missing required flag), and later additions follow it.
 ``corpus/digest.txt`` holds, line for line, ``<exit code> <sha256 of stdout>
-<sha256 of stderr>``. ``test_behaviour_corpus.py`` runs every line in-process
-through ``plumbhom.cli.run`` and compares. A deliberate output change is made
-by regenerating the digest, which prints each line that moved, and listing
-those lines with the change:
+<sha256 of stderr>``. An argument may hold the token ``{tmp}``, which is
+replaced by a new temporary directory; such a line writes a file there with
+``--out``, and its digest line gains a fourth field, the SHA-256 of that
+file (``-`` if none was written). ``test_behaviour_corpus.py`` runs every
+line in-process through ``plumbhom.cli.run`` and compares. A deliberate
+output change is made by regenerating the digest, which prints each line
+that moved, and listing those lines with the change:
 
     PYTHONPATH=src python tests/behaviour_corpus.py
 """
@@ -22,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,17 +55,23 @@ def digest_line(argv: list[str]) -> str:
     os.chdir(ROOT)
     os.environ["COLUMNS"] = "80"
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(list(argv))
+        with tempfile.TemporaryDirectory() as tmp:
+            args = [arg.replace("{tmp}", tmp) for arg in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(args)
+            fields = [str(code), *(
+                hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err))]
+            if args != argv:
+                written = Path(args[args.index("--out") + 1])
+                fields.append(hashlib.sha256(written.read_bytes()).hexdigest()
+                              if written.exists() else "-")
     finally:
         os.chdir(cwd)
         if columns is None:
             del os.environ["COLUMNS"]
         else:
             os.environ["COLUMNS"] = columns
-    return " ".join([str(code), *(
-        hashlib.sha256(s.getvalue().encode("utf-8")).hexdigest() for s in (out, err)
-    )])
+    return " ".join(fields)
 
 
 def main() -> None:

@@ -30,3 +30,15 @@ def test_corpus_covers_every_subcommand_and_format():
                    if argv[:1] == [command] and "--format" in argv}
         assert formats == {"table", "csv", "json"}, command
     assert len(set(map(tuple, cases))) == len(cases)
+
+
+def test_out_files_hold_the_bytes_stdout_would():
+    # each {tmp} line's fourth field against the stdout digest of its line without --out
+    cases, digest = load_argv(), load_digest()
+    stdout = {tuple(argv): line.split()[1] for argv, line in zip(cases, digest)}
+    written = [(argv, line.split()) for argv, line in zip(cases, digest)
+               if any("{tmp}" in arg for arg in argv)]
+    assert written
+    for argv, fields in written:
+        i = argv.index("--out")
+        assert fields[3] == stdout[tuple(argv[:i] + argv[i + 2:])]

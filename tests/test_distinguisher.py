@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from operator import sub
 
 import pytest
 
 import plumbhom.bundle_homology as bundle_homology
 import plumbhom.distinguisher as distinguisher
 from behaviour_corpus import CORPUS
-from oracles import classify_distinct, cofactor_det, pow_square
+from oracles import classify_distinct, cofactor_det, pow_square, smith_diagonal_by_minors
 from plumbhom.bundle_homology import Representation, surface_bundle_homology
+from plumbhom.cli import run
 from plumbhom.distinguisher import filling_family, torsion_closed_form
-from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_rows, mat_pow
+from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_group, cokernel_rows, mat_pow
 from plumbhom.plumbing import GradedGroup, PlumbingGraph, base_homology, parse_graph
 from plumbhom.presets import GRAPH_PRESETS, graph_preset
 from plumbhom.twist_engine import IDENTITY_ACTION, GradedAction, TwistWord, parse_word, word_action
@@ -21,6 +23,10 @@ from test_plumbing import A2_3PT_N2, A2_3PT_N3
 
 A2_1PT_N3 = PlumbingGraph(3, ("L1", "L2"), (("L1", "L2", 1),))
 EVEN_GENERATOR = IntMatrix.from_rows([[8, 3], [-3, -1]])
+
+
+def _minus_identity(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.rows, m.cols, map(sub, m.entries, IntMatrix.identity(m.rows).entries))
 
 
 class TestTorsionClosedForm:
@@ -120,16 +126,18 @@ class TestFillingFamily:
             assert report.distinct_classes >= previous
             previous = report.distinct_classes
 
-    def test_even_family_matches_closed_form(self):
+    def test_even_family_matches_the_smith_route(self):
         report = filling_family(A2_3PT_N2, parse_word("L1 L2"), 12)
         for entry in report.entries:
-            assert entry.torsion_cardinality == torsion_closed_form(EVEN_GENERATOR, entry.k)
+            difference = _minus_identity(mat_pow(EVEN_GENERATOR, entry.k))
+            assert entry.torsion_cardinality == cokernel_group(difference).torsion_cardinality
 
     def test_one_reduction_per_member(self, monkeypatch):
         # only the middle-degree block of D_k moves with k; the degrees where
         # both monodromies act as the identity need no reduction, and member k
-        # reduces phi^k - I itself, every member as rows through _wang_piece
-        graph = graph_preset("a2-3pt-n3")
+        # of a family with r > 2 reduces phi^k - I itself, every member as
+        # rows through _wang_piece (H_1 = Z^4 here)
+        graph = graph_preset("a2-3pt-n1")
         calls = []
 
         def counting(rows):
@@ -138,18 +146,37 @@ class TestFillingFamily:
 
         monkeypatch.setattr(bundle_homology, "cokernel_rows", counting)
         filling_family(graph, parse_word("t1"), 20)
-        assert [(len(m), len(m[0])) for m in calls] == [(2, 2)] * 20
-        t1 = word_action(graph, parse_word("t1")).matrix(3)
+        assert [(len(m), len(m[0])) for m in calls] == [(4, 4)] * 20
+        t1 = word_action(graph, parse_word("t1")).matrix(1)
         for k, m in enumerate(calls, 1):
-            rows = mat_pow(t1, k).to_rows()
-            for i in range(2):
-                rows[i][i] -= 1
-            assert m == rows
+            assert m == _minus_identity(mat_pow(t1, k)).to_rows()
 
-    def test_checked_constructions_do_not_grow_with_k(self, monkeypatch):
+    def test_two_by_two_family_runs_no_reduction(self, monkeypatch):
+        # r = 2: phi is read once, and every member's cokernel comes from the
+        # trace recurrence, with no power of phi and no Smith reduction
+        reductions, starts = [], []
+
+        def reducing(rows, _fn=bundle_homology.cokernel_rows):
+            reductions.append(rows)
+            return _fn(rows)
+
+        def starting(*args, _fn=distinguisher._powers):
+            starts.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(bundle_homology, "cokernel_rows", reducing)
+        monkeypatch.setattr(distinguisher, "_powers", starting)
+        report = filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 20)
+        assert [e.torsion_factors for e in report.entries] == [(3 * k,) for k in range(1, 21)]
+        assert reductions == []
+        assert len(starts) == 1
+
+    @pytest.mark.parametrize("preset", ["a2-3pt-n3", "a2-3pt-n1"])
+    def test_checked_constructions_do_not_grow_with_k(self, monkeypatch, preset):
         # each member's groups reuse checked Smith invariants, phi^k is kept as
         # rows rather than actions, and the word's powers and the base
-        # homology are started once per family
+        # homology are started once per family; on both routes (r = 2 here,
+        # r = 4 on a2-3pt-n1, through _powers and _wang_piece)
         counts = Counter()
         for cls in (AbelianGroup, GradedAction, GradedGroup):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -163,10 +190,10 @@ class TestFillingFamily:
                 return _fn(*args)
 
             monkeypatch.setattr(distinguisher, name, counting)
-        filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 10)
+        filling_family(graph_preset(preset), parse_word("t1"), 10)
         few = dict(counts)
         counts.clear()
-        filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 30)
+        filling_family(graph_preset(preset), parse_word("t1"), 30)
         assert dict(counts) == few
         assert few["_powers"] == few["base_homology"] == 1
 
@@ -229,6 +256,82 @@ class TestFillingFamily:
         assert report.k_max == 3
         assert "degree" in report.indexing_note
         assert report.graph == A2_3PT_N3
+
+
+class TestRankTwoRoute:
+    """A 2x2 family's cokernels from the trace recurrence, member by member,
+    against the Smith route and the determinantal divisors of phi^k - I."""
+
+    # two circles plumbed at one point: H_1 = Z^2, with a stored action for each
+    DIMENSION_ONE = PlumbingGraph(1, ("t1", "t2"), (("t1", "t2", 1),), (
+        ("t1", IntMatrix.from_rows([[1, 1], [0, 1]])),
+        ("t2", IntMatrix.from_rows([[1, 0], [-1, 1]])),
+    ))
+
+    @staticmethod
+    def _branches(graph, word, k_max):
+        """Check members 1..k_max and name the branches they took."""
+        n = graph.dimension
+        assert base_homology(graph).rank(n) == 2
+        phi = word_action(graph, word).matrix(n)
+        branches = {"delta -1"} if cofactor_det(phi.to_rows()) == -1 else set()
+        members = distinguisher._cokernels(graph, word, 2)
+        for k, coker in zip(range(1, k_max + 1), members):
+            difference = _minus_identity(mat_pow(phi, k))
+            assert coker == cokernel_group(difference), (word, k)
+            diag = smith_diagonal_by_minors(difference.to_rows())
+            assert coker == AbelianGroup(diag.count(0), tuple(d for d in diag if d > 1))
+            branches.add(("nonsingular", "singular", "zero")[diag.count(0)])
+        return branches
+
+    @pytest.mark.parametrize("preset, text", [
+        ("a2-3pt-n2", "t1"), ("a2-3pt-n2", "t2^-1"), ("a2-3pt-n2", "t1 t2 t1^3"),
+        ("a2-3pt-n2", "t2 t1^-1 t2^3"),
+    ])
+    def test_odd_words_in_even_dimension_have_determinant_minus_one(self, preset, text):
+        assert "delta -1" in self._branches(graph_preset(preset), parse_word(text), 40)
+
+    @pytest.mark.parametrize("preset, text", [
+        ("a2-3pt-n3", "t1"), ("a2-3pt-n3", "t2^-3"), ("a2-1pt-n3", "t1^2"),
+    ])
+    def test_parabolic_members_are_singular(self, preset, text):
+        assert self._branches(graph_preset(preset), parse_word(text), 40) == {"singular"}
+
+    def test_finite_order_members_are_zero(self):
+        # t1 t2 has order 6 on a2-1pt-n5, so D_6 = D_12 = 0; the empty word gives D_k = 0
+        graph = graph_preset("a2-1pt-n5")
+        assert "zero" in self._branches(graph, parse_word("t1 t2"), 13)
+        assert self._branches(graph, TwistWord(()), 5) == {"zero"}
+
+    def test_dimension_one_graph_of_rank_two(self):
+        graph = self.DIMENSION_ONE
+        assert self._branches(graph, parse_word("t1"), 30) == {"singular"}
+        assert "zero" in self._branches(graph, parse_word("t1 t2"), 12)  # order 6
+        assert "nonsingular" in self._branches(graph, parse_word("t1^2 t2^-1"), 30)
+
+    def test_seeded_sweep(self):
+        rng = random.Random(27)
+        graphs = [g for g in GRAPH_PRESETS.values() if g.dimension > 1] + [self.DIMENSION_ONE]
+        seen = set()
+        for _ in range(24):
+            graph = rng.choice(graphs)
+            word = TwistWord(tuple((rng.choice(graph.vertices), rng.choice((-3, -2, -1, 1, 2, 3)))
+                                   for _ in range(rng.randint(1, 5))))
+            seen |= self._branches(graph, word, 60)
+        assert seen == {"delta -1", "nonsingular", "singular", "zero"}
+
+    @pytest.mark.parametrize("pair, message", [
+        ((4, 6), "do not multiply"), ((2, 6), "not a divisor chain"),
+    ])
+    def test_checks_raise_on_a_wrong_pair(self, monkeypatch, capsys, pair, message):
+        # phi^k = u phi - s I with u = 0 gives d_1 = |s + 1| and det D = delta^k + 2 s + 1
+        d1, det_k = pair
+        monkeypatch.setattr(distinguisher, "_recurrence",
+                            lambda *phi: iter([(0, d1 - 1, det_k - 2 * d1 + 1)]))
+        with pytest.raises(RuntimeError, match=message):
+            filling_family(graph_preset("a2-3pt-n2"), parse_word("t1 t2"), 1)
+        assert run(["fillings", "--preset", "a2-3pt-n2", "--word", "t1 t2", "--kmax", "1"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def _random_word(rng: random.Random, labels) -> TwistWord:
