@@ -109,16 +109,10 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _group_json(group: AbelianGroup) -> dict:
-    return {
-        "free_rank": group.free_rank,
-        "invariant_factors": list(group.invariant_factors),
-        "group": str(group),
-    }
-
-
-def _graded_rows(graded: GradedGroup) -> list[dict]:
-    return [{"degree": k, **_group_json(g)} for k, g in graded.items()]
+def _json_cell(k: int, g: AbelianGroup) -> dict:
+    """The json object of group g in degree k."""
+    return {"degree": k, "free_rank": g.free_rank,
+            "invariant_factors": list(g.invariant_factors), "group": str(g)}
 
 
 def _csv_cell(k: int, g: AbelianGroup) -> str:
@@ -132,7 +126,7 @@ def _graded_text(graded: GradedGroup, fmt: str) -> str:
     if fmt == "csv":
         return "degree,rank,invariant_factors\n" + "".join(
             f"{_csv_cell(k, g)}\n" for k, g in graded.items())
-    return _json_dumps({"homology": _graded_rows(graded)})
+    return _json_dumps({"homology": [_json_cell(k, g) for k, g in graded.items()]})
 
 
 def _matrix_csv(m) -> str:
@@ -222,7 +216,8 @@ def _fillings_csv(report: FillingReport) -> str:
 def _cells(entries, fmt):
     """Yield each entry with ``fmt(k, g)`` for its degrees k and groups g, in order.
 
-    A degree whose group is the object the entry before held keeps its text.
+    Every fillings format (table, csv and json) walks its entries through here.
+    A degree whose group is the object the entry before held keeps its cell.
     The family shares one object per value in every degree but its torsion
     degree, whose group each member builds anew (identity, not equality:
     hashing a group costs more than formatting it).
@@ -252,9 +247,9 @@ def _fillings_json(report: FillingReport) -> str:
                 "boundary_ok": e.boundary_ok,
                 "torsion_factors": list(e.torsion_factors),
                 "torsion_cardinality": e.torsion_cardinality,
-                "homology": _graded_rows(e.homology),
+                "homology": cells,
             }
-            for e in report.entries
+            for e, cells in _cells(report.entries, _json_cell)
         ],
         "distinct_classes": report.distinct_classes,
         "trivial_torsion_ks": list(report.trivial_torsion_ks),

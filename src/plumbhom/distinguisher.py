@@ -15,24 +15,27 @@ H_j(V). So the degrees below d are those of the bundle with monodromies
 (Id, Id), read once per family from ``_total_space_homology``, the one
 assembly of the Wang sequence; the base lives in degrees up to d, so only
 H_d = coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(r_d + free rank of coker
-D_d) change with k. ``_cokernels`` gives each coker D_d by one of two routes:
+D_d) change with k. ``_diagonals`` gives the nonzero Smith diagonal of each
+D_d by one of two routes:
 - r_d = 2: phi = [[a, b], [c, e]] is read once from ``twist_engine._powers``.
   With t = a + e, delta = det phi and u_(-1) = 0, u_0 = 1, u_k = t u_(k-1) -
   delta u_(k-2), phi^k = u_(k-1) phi - delta u_(k-2) I (Cayley-Hamilton), so
   D_d has entry gcd d_1 = gcd(u_(k-1) g, u_(k-1) a - delta u_(k-2) - 1), g =
   gcd(b, c, a - e), and det D_d = delta^k - trace(phi^k) + 1, with no power
-  and no reduction. d_1 and |det D_d| / d_1 must multiply back and form a
-  divisor chain (else exit code 2); a singular D_d has free rank 1 and
-  invariant d_1, or free rank 2 if d_1 = 0.
+  and no reduction. The Smith engine's two-divisor rule,
+  ``exact_linalg._divisor_pair``, turns d_1 and |det D_d| into the diagonal
+  and checks it (else exit code 2); a singular D_d has the one invariant
+  d_1, none if d_1 = 0.
 - else ``_powers`` applies the word's letters to phi^(k-1)_d by the rule
-  ``word_action`` uses, and ``_wang_piece`` reduces D_d as rows.
+  ``word_action`` uses, and ``smith_rows`` reduces D_d as rows.
 
-A member's H_d is its own object and its H_(d+1) one of a per-family table
-by kernel rank, both built through ``_unchecked``, so the renderer formats
-each value of a degree other than d once. H_d fixes the kernel rank, so a
-class is keyed on H_d alone, which agrees with equality of the whole graded
-group (the tests number those by first occurrence and get the same ids, and
-check every member against ``surface_bundle_homology`` on (phi^k, Id)).
+A member builds H_d once, as the cokernel on Z^(r_d + 2 r_(d-1)) of that
+diagonal, and takes H_(d+1) from a per-family table by kernel rank, both
+through ``_unchecked``, so the renderer formats each value of a degree other
+than d once. H_d fixes the kernel rank, so a class is keyed on H_d alone,
+which agrees with equality of the whole graded group (the tests number those
+by first occurrence and get the same ids, and check every member against
+``surface_bundle_homology`` on (phi^k, Id)).
 (phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id, so
 ``boundary_ok`` is true on every entry. ``torsion_closed_form`` reads the
 recurrence: |det(M^k - I)| = |2 - trace(M^k)| when det M = 1.
@@ -41,8 +44,8 @@ recurrence: |det(M^k - I)| = |2 - trace(M^k)| when det M = 1.
 from collections.abc import Iterator
 from math import gcd, prod
 
-from .bundle_homology import _total_space_homology, _wang_piece
-from .exact_linalg import AbelianGroup, Frozen, IntMatrix, _check_invariants, det
+from .bundle_homology import _difference_blocks, _total_space_homology
+from .exact_linalg import AbelianGroup, Frozen, IntMatrix, _cokernel, _divisor_pair, det, smith_rows
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
 from .twist_engine import IDENTITY_ACTION, TwistWord, _powers
 
@@ -77,7 +80,7 @@ class FillingReport(Frozen):
 def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> FillingReport:
     """Build the family E_k, k = 1..k_max, and classify by graded homology.
 
-    ``word`` is a TwistWord over the graph; ``_cokernels`` gives each coker D_d.
+    ``word`` is a TwistWord over the graph; ``_diagonals`` gives each D_d's Smith diagonal.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
@@ -94,10 +97,10 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     uppers = [AbelianGroup._unchecked(r + f, ()) for f in range(r + 1)]
     classes: dict[tuple, int] = {}
     entries = []
-    for k, coker in zip(range(1, k_max + 1), _cokernels(graph, word, r)):
-        free, factors = coker.free_rank + below, coker.invariant_factors
-        middle = AbelianGroup._unchecked(free, factors) if below else coker
-        upper = uppers[coker.free_rank]
+    for k, diag in zip(range(1, k_max + 1), _diagonals(graph, word, r)):
+        middle = _cokernel(r + below, diag)  # coker D_d + Z^below
+        free, factors = middle.free_rank, middle.invariant_factors
+        upper = uppers[r - len(diag)]
         # H_d fixes H_(d+1), and the family every other degree, so this key is
         # graded equality
         class_id = classes.setdefault((free, factors), len(classes) + 1)
@@ -117,24 +120,18 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     )
 
 
-def _cokernels(graph: PlumbingGraph, word: TwistWord, r: int) -> Iterator[AbelianGroup]:
-    """coker(phi^k_d - I) for k = 1, 2, ..., where r = rank H_d(V) (module docstring)."""
+def _diagonals(graph: PlumbingGraph, word: TwistWord, r: int) -> Iterator[list[int]]:
+    """Nonzero Smith diagonal of phi^k_d - I for k = 1, 2, ..., where r = rank H_d(V).
+
+    By the recurrence when r = 2, else by ``smith_rows`` (module docstring).
+    """
     powers = _powers(graph, word)
     if r != 2:
-        return (_wang_piece((power,), r, 2)[0] for power in powers)
+        return (smith_rows(_difference_blocks((power,), r)) for power in powers)
     (a, b), (c, e) = next(powers)
-    g = gcd(b, c, a - e)  # d_1 and det D_k from phi^k = u phi - s I
-    return (_cokernel_2x2(gcd(u * g, u * a - s - 1), delta_k - (a + e) * u + 2 * s + 1)
+    g = gcd(b, c, a - e)  # d_1 and |det D_k| from phi^k = u phi - s I
+    return (_divisor_pair(gcd(u * g, u * a - s - 1), abs(delta_k - (a + e) * u + 2 * s + 1))
             for u, s, delta_k in _recurrence(a + e, a * e - b * c))
-
-
-def _cokernel_2x2(d1: int, det_k: int) -> AbelianGroup:
-    """coker D of a 2x2 D from the gcd d1 of its entries and det_k = det D, checked."""
-    diag = [d1, abs(det_k) // d1] if det_k else [d1] if d1 else []
-    if det_k and d1 * diag[1] != abs(det_k):
-        raise RuntimeError("Smith invariants do not multiply to |det(phi^k - I)|")
-    _check_invariants(diag, 2)
-    return AbelianGroup._unchecked(2 - len(diag), tuple(diag[diag.count(1):]))
 
 
 def _recurrence(t: int, delta: int) -> Iterator[tuple[int, int, int]]:

@@ -47,11 +47,13 @@ Smith diagonal of a matrix given as rows; ``cokernel_rows`` reads a cokernel
 from it. ``smith_invariants`` and ``cokernel_group`` (and through the first
 ``smith_form``, which lays the invariants on a diagonal; a rank is their
 count) hand them an ``IntMatrix``'s rows; the Wang pieces of
-``bundle_homology`` (every filling-family member among them) hand their
-difference blocks over as rows directly. Every block loses its zero rows
-and columns on entry, keeping its orientation; one with at most two rows or
-two columns then goes to the determinantal finish (gcd of the entries, gcd
-of the 2x2 minors). A larger one is transposed between pivot steps,
+``bundle_homology`` and the filling-family members but the 2x2 ones hand
+their difference blocks over as rows directly. Every block loses its zero
+rows and columns on entry, keeping its orientation; one with at most two
+rows or two columns then goes to the determinantal finish (gcd of the
+entries, gcd of the 2x2 minors), whose two divisors ``_divisor_pair`` turns
+into a checked diagonal, as it does the two that a 2x2 family member reads
+off its trace recurrence. A larger one is transposed between pivot steps,
 dropping zero rows and columns: the tie rule reads the block as it lies, so
 its orientation chooses the pivots, and with them how far the entries grow.
 
@@ -512,7 +514,8 @@ def _eliminate_pivot(block: list[list[int]], sides: list[list[list[int]]]) -> in
 def _determinantal_invariants(block: list[list[int]]) -> list[int]:
     """Nonzero Smith diagonal of a block with no zero row and at most two rows or columns.
 
-    d1 is the gcd of the entries and d1*d2 the gcd of the 2x2 minors.
+    A single row gives the gcd of its entries; two rows give ``_divisor_pair``
+    of the gcd of the entries and the gcd of the 2x2 minors.
     """
     if len(block) > 2:
         block = list(zip(*block))
@@ -521,11 +524,23 @@ def _determinantal_invariants(block: list[list[int]]) -> list[int]:
     if len(block) == 1:
         return [gcd(*block[0])]
     top, bottom = block
-    d1 = gcd(*top, *bottom)
     n = len(top)
     d12 = gcd(*[top[i] * bottom[j] - top[j] * bottom[i]
                 for i in range(n) for j in range(i + 1, n)])
-    return [d1, d12 // d1] if d12 else [d1]
+    return _divisor_pair(gcd(*top, *bottom), d12)
+
+
+def _divisor_pair(d1: int, d12: int) -> list[int]:
+    """Nonzero Smith diagonal of a matrix of rank at most 2, checked.
+
+    d1 is the gcd of the entries and d12 = d1 d2 the gcd of the 2x2 minors;
+    the two must multiply back and form a divisor chain (else ``RuntimeError``).
+    """
+    diag = [d1, d12 // d1] if d12 else [d1] if d1 else []
+    if d12 and d1 * diag[1] != d12:
+        raise RuntimeError("Smith invariants do not multiply to the gcd of the 2x2 minors")
+    _check_invariants(diag, 2)
+    return diag
 
 
 def _check_invariants(diag: list[int], bound: int) -> None:
@@ -553,8 +568,11 @@ def cokernel_group(m: IntMatrix) -> AbelianGroup:
 
 def cokernel_rows(block: list[list[int]]) -> AbelianGroup:
     """``cokernel_group`` of the matrix with these rows; the rows are consumed."""
-    rows = len(block)
-    diag = smith_rows(block)
+    return _cokernel(len(block), smith_rows(block))
+
+
+def _cokernel(rows: int, diag: list[int]) -> AbelianGroup:
+    """Z^rows / image of a matrix whose nonzero Smith diagonal is ``diag``."""
     # a divisor chain of positive ints: its ones come first
     return AbelianGroup._unchecked(rows - len(diag), tuple(diag[diag.count(1):]))
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -408,19 +409,27 @@ class TestFillings:
         payload = json.loads(out)
         assert all(e["boundary_ok"] for e in payload["entries"])
 
-    def test_each_distinct_group_is_rendered_once(self):
+    def test_each_distinct_group_is_rendered_once(self, monkeypatch, capsys):
         # phi = t1 moves degree 3 only: H3 changes with every k, and every
-        # other degree keeps its group object, so its text is made once
+        # other degree keeps its group object, so its text is made once; json
+        # walks the members the same way
         report = filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 50)
         calls = Counter()
 
-        def counting(k, g):
+        def counting(k, g, fmt=lambda k, g: str(g)):
             calls[k] += 1
-            return str(g)
+            return fmt(k, g)
 
         rows = [cells for _, cells in cli._cells(report.entries, counting)]
         assert dict(calls) == {0: 1, 1: 1, 2: 1, 3: 50, 4: 1}
         assert rows == [[str(g) for _, g in e.homology.items()] for e in report.entries]
+        argv = ["fillings", "--preset", "a2-3pt-n3", "--word", "t1", "--kmax", "50",
+                "--format", "json"]
+        want = invoke(capsys, *argv)
+        calls.clear()
+        monkeypatch.setattr(cli, "_json_cell", partial(counting, fmt=cli._json_cell))
+        assert invoke(capsys, *argv) == want
+        assert dict(calls) == {0: 1, 1: 1, 2: 1, 3: 50, 4: 1}
 
     def test_output_passes_the_digit_limit(self, capsys):
         # with a 10^300 exponent the degree-3 torsion factors pass 4,300

@@ -15,7 +15,7 @@ from oracles import classify_distinct, cofactor_det, pow_square, smith_diagonal_
 from plumbhom.bundle_homology import Representation, surface_bundle_homology
 from plumbhom.cli import run
 from plumbhom.distinguisher import filling_family, torsion_closed_form
-from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_group, cokernel_rows, mat_pow
+from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_group, mat_pow, smith_invariants
 from plumbhom.plumbing import GradedGroup, PlumbingGraph, base_homology, parse_graph
 from plumbhom.presets import GRAPH_PRESETS, graph_preset
 from plumbhom.twist_engine import IDENTITY_ACTION, GradedAction, TwistWord, parse_word, word_action
@@ -136,15 +136,15 @@ class TestFillingFamily:
         # only the middle-degree block of D_k moves with k; the degrees where
         # both monodromies act as the identity need no reduction, and member k
         # of a family with r > 2 reduces phi^k - I itself, every member as
-        # rows through _wang_piece (H_1 = Z^4 here)
+        # rows through smith_rows (H_1 = Z^4 here)
         graph = graph_preset("a2-3pt-n1")
         calls = []
 
-        def counting(rows):
+        def counting(rows, _fn=distinguisher.smith_rows):
             calls.append([list(r) for r in rows])  # the reduction consumes its rows
-            return cokernel_rows(rows)
+            return _fn(rows)
 
-        monkeypatch.setattr(bundle_homology, "cokernel_rows", counting)
+        monkeypatch.setattr(distinguisher, "smith_rows", counting)
         filling_family(graph, parse_word("t1"), 20)
         assert [(len(m), len(m[0])) for m in calls] == [(4, 4)] * 20
         t1 = word_action(graph, parse_word("t1")).matrix(1)
@@ -156,15 +156,17 @@ class TestFillingFamily:
         # trace recurrence, with no power of phi and no Smith reduction
         reductions, starts = [], []
 
-        def reducing(rows, _fn=bundle_homology.cokernel_rows):
-            reductions.append(rows)
-            return _fn(rows)
+        for module, name in ((distinguisher, "smith_rows"), (bundle_homology, "cokernel_rows")):
+            def reducing(rows, _fn=getattr(module, name)):
+                reductions.append(rows)
+                return _fn(rows)
+
+            monkeypatch.setattr(module, name, reducing)
 
         def starting(*args, _fn=distinguisher._powers):
             starts.append(args)
             return _fn(*args)
 
-        monkeypatch.setattr(bundle_homology, "cokernel_rows", reducing)
         monkeypatch.setattr(distinguisher, "_powers", starting)
         report = filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 20)
         assert [e.torsion_factors for e in report.entries] == [(3 * k,) for k in range(1, 21)]
@@ -176,7 +178,7 @@ class TestFillingFamily:
         # each member's groups reuse checked Smith invariants, phi^k is kept as
         # rows rather than actions, and the word's powers and the base
         # homology are started once per family; on both routes (r = 2 here,
-        # r = 4 on a2-3pt-n1, through _powers and _wang_piece)
+        # r = 4 on a2-3pt-n1, through _powers and smith_rows)
         counts = Counter()
         for cls in (AbelianGroup, GradedAction, GradedGroup):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -196,6 +198,32 @@ class TestFillingFamily:
         filling_family(graph_preset(preset), parse_word("t1"), 30)
         assert dict(counts) == few
         assert few["_powers"] == few["base_homology"] == 1
+
+    @pytest.mark.parametrize("graph, text", [
+        (graph_preset("a2-3pt-n2"), "t1 t2"), (graph_preset("a2-3pt-n1"), "t1"),
+        (parse_graph((CORPUS / "cycle-3-n2.graph.json").read_text()), "a b c"),
+    ], ids=["a2-3pt-n2", "a2-3pt-n1", "cycle-3-n2"])
+    def test_one_group_per_member(self, monkeypatch, graph, text):
+        # H_d is built once, as the cokernel on Z^(r + 2 r_(d-1)), on the 2x2
+        # route (r = 2 here), the general one (r = 4 on a2-3pt-n1, r = 3 on
+        # the cycle), and with the kernel summand Z^(2 r_(d-1)) nonzero
+        # (Z^4, Z^2 and Z^2); every other group is made once per family
+        assert base_homology(graph).rank(graph.dimension - 1)
+        built = []
+
+        def recording(cls, *values, _fn=AbelianGroup._unchecked.__func__):
+            built.append(_fn(cls, *values))
+            return built[-1]
+
+        monkeypatch.setattr(AbelianGroup, "_unchecked", classmethod(recording))
+        counts = []
+        for k_max in (10, 30):
+            built.clear()
+            report = filling_family(graph, parse_word(text), k_max)
+            counts.append(len(built))
+        assert counts[1] - counts[0] == 20
+        middles = {id(e.homology.group(graph.dimension)) for e in report.entries}
+        assert middles <= {id(g) for g in built[-30:]}
 
     def test_members_match_the_general_route(self):
         # each member against surface_bundle_homology on (phi^k, Id), with
@@ -259,8 +287,8 @@ class TestFillingFamily:
 
 
 class TestRankTwoRoute:
-    """A 2x2 family's cokernels from the trace recurrence, member by member,
-    against the Smith route and the determinantal divisors of phi^k - I."""
+    """A 2x2 family's Smith diagonals from the trace recurrence, member by
+    member, against the Smith route and the determinantal divisors of phi^k - I."""
 
     # two circles plumbed at one point: H_1 = Z^2, with a stored action for each
     DIMENSION_ONE = PlumbingGraph(1, ("t1", "t2"), (("t1", "t2", 1),), (
@@ -275,13 +303,13 @@ class TestRankTwoRoute:
         assert base_homology(graph).rank(n) == 2
         phi = word_action(graph, word).matrix(n)
         branches = {"delta -1"} if cofactor_det(phi.to_rows()) == -1 else set()
-        members = distinguisher._cokernels(graph, word, 2)
-        for k, coker in zip(range(1, k_max + 1), members):
+        members = distinguisher._diagonals(graph, word, 2)
+        for k, diag in zip(range(1, k_max + 1), members):
             difference = _minus_identity(mat_pow(phi, k))
-            assert coker == cokernel_group(difference), (word, k)
-            diag = smith_diagonal_by_minors(difference.to_rows())
-            assert coker == AbelianGroup(diag.count(0), tuple(d for d in diag if d > 1))
-            branches.add(("nonsingular", "singular", "zero")[diag.count(0)])
+            assert diag == smith_invariants(difference), (word, k)
+            minors = smith_diagonal_by_minors(difference.to_rows())
+            assert diag == [d for d in minors if d]
+            branches.add(("nonsingular", "singular", "zero")[minors.count(0)])
         return branches
 
     @pytest.mark.parametrize("preset, text", [
@@ -342,7 +370,8 @@ def _random_word(rng: random.Random, labels) -> TwistWord:
 
 def _family_cases(rng: random.Random):
     """The presets, then A_n chains in dimensions 2 to 5, some with Coxeter words,
-    then a dimension-1 graph whose words mix two stored H_1 actions."""
+    then a dimension-1 graph whose words mix two stored H_1 actions, then a
+    3-cycle in dimension 2 (H_1 = Z, so H_2 holds the kernel summand Z^2)."""
     for name in sorted(GRAPH_PRESETS):
         graph = graph_preset(name)
         labels = ("t1",) if graph.dimension == 1 else graph.vertices  # only t1 acts on H_1
@@ -360,6 +389,10 @@ def _family_cases(rng: random.Random):
     yield graph, parse_word("t1^2 t2^-1 t1 t2^3")
     for _ in range(6):
         yield graph, _random_word(rng, ("t1", "t2"))
+    graph = parse_graph((CORPUS / "cycle-3-n2.graph.json").read_text())
+    yield graph, parse_word("a b c")
+    for _ in range(4):
+        yield graph, _random_word(rng, graph.vertices)
 
 
 _METAMORPHIC_GRAPHS = (
