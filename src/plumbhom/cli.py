@@ -3,13 +3,24 @@
 Subcommands: validate, form, homology, twist, torus, fillings, snf. Output is
 byte-deterministic for a fixed invocation. Exit codes: 0 success, 1 input
 error or a failed write (to stdout or --out), 2 internal invariant violation.
+
+A renderer returns the text or yields it in chunks: ``fillings`` one chunk
+per member, as ``distinguisher._family``'s generator makes it, with each
+degree below d formatted once per family and H_(d+1) once per kernel rank.
+``_write`` joins chunks into batches of about 64 KB (under PYTHONUNBUFFERED
+each write is a system call), so an exit 2 mid-family can follow output.
+The first two paragraphs are the --help text.
 """
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
+from itertools import chain
+from math import prod
 
 from .bundle_homology import mapping_torus_homology
-from .distinguisher import FillingReport, filling_family
+from .distinguisher import INDEXING_NOTE, _family
 from .exact_linalg import AbelianGroup, format_matrix, parse_matrix, smith_form, snf
 from .plumbing import (
     GradedGroup,
@@ -38,7 +49,9 @@ def _build_parser(argv: list[str]) -> _Parser:
     Any other argv (none, --help, an unknown name) builds every subparser,
     which the top-level help and the invalid-choice error list.
     """
-    parser = _Parser(prog="plumbhom", description=__doc__)
+    # None under -OO, which strips docstrings
+    help_text = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="plumbhom", description=help_text)
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
     named = [c for c in _COMMANDS if argv and c[0] == argv[0]] or _COMMANDS
@@ -74,33 +87,46 @@ def _load_graph(args) -> PlumbingGraph:
     return parse_graph(text)
 
 
-def _write(text: str, out_path: str | None) -> None:
-    try:
-        if out_path is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write output: {exc}") from None
+def _write(out_path: str | None, render, *args) -> None:
+    """Write ``render(*args)``, its text or chunks, with Python's int-to-str digit limit lifted.
 
-
-def _render(render, *args) -> str:
-    """``render(*args)`` with Python's int-to-str digit limit lifted.
-
-    Every command renders through here, from the values its handler returns.
+    Every command writes through here, from the values its handler returns.
     Outputs pass the 4,300-digit limit (3.10.7 on) as entries grow: torsion
     with k, twist and mapping-torus entries with exponents, Smith transforms
     with the input. The input was parsed under the limit, so it is lifted
-    only to render.
+    only while the output is made and written. No file is opened before the
+    first batch is made.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return render(*args)
+        text = render(*args)
+        batches = _batches((text,) if isinstance(text, str) else text)
+        first = next(batches)
+        try:
+            with nullcontext(sys.stdout) if out_path is None else open(
+                    out_path, "w", encoding="utf-8", newline="") as handle:
+                for text in chain((first,), batches):
+                    handle.write(text)
+                    handle.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from None
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+_BATCH = 1 << 16
+
+
+def _batches(chunks: Iterable[str]) -> Iterator[str]:
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
 
 
 def _json_dumps(obj) -> str:
@@ -186,85 +212,58 @@ def _cmd_torus(args) -> tuple:
     return 0, _graded_text, mapping_torus_homology(base_homology(graph), action), args.format
 
 
-def _fillings_table(report: FillingReport) -> str:
-    lines = [
-        f"graph: dimension={report.graph.dimension} "
-        f"vertices={','.join(report.graph.vertices)} edges={report.graph.edge_count}",
-        f"word: {report.word}",
-        f"torsion degree: {report.torsion_degree}",
-        f"note: {report.indexing_note}",
-    ]
-    for e, cells in _cells(report.entries, lambda k, g: f"H{k}={g}"):
-        torsion = "+".join(f"Z/{d}" for d in e.torsion_factors) or "0"
-        lines.append(f"k={e.k} class={e.class_id} torsion={torsion} {' '.join(cells)}")
-    lines.append(f"distinct homology types: {report.distinct_classes}")
-    if report.trivial_torsion_ks:
-        ks = ",".join(str(k) for k in report.trivial_torsion_ks)
-        lines.append(f"trivial torsion at k: {ks}")
-    return "\n".join(lines) + "\n"
+def _fillings_text(graph, word, k_max: int, family: tuple, fmt: str) -> Iterator[str]:
+    """The fillings report in chunks, one per member (module docstring), then the summary."""
+    lower, uppers, members = family
+    d, cell = graph.dimension, _FILLINGS_CELL[fmt]
+    fixed, upper_cells, classes, trivial = [cell(j, g) for j, g in lower.items()], {}, 0, []
+    if fmt == "table":
+        yield (f"graph: dimension={d} vertices={','.join(graph.vertices)} edges={graph.edge_count}"
+               f"\nword: {word}\ntorsion degree: {d}\nnote: {INDEXING_NOTE}\n")
+    elif fmt == "csv":
+        yield "k,degree,rank,invariant_factors,class\n"
+    else:  # the payload up to its entries: "entries": [] less "]\n}\n"
+        yield _json_dumps({"graph": graph_to_json(graph), "word": str(word), "k_max": k_max,
+                           "torsion_degree": d, "indexing_note": INDEXING_NOTE,
+                           "entries": []})[:-4]
+    for k, middle, f, class_id in members:
+        if f not in upper_cells:
+            upper_cells[f] = cell(d + 1, uppers[f])
+        factors = middle.invariant_factors
+        upper = upper_cells[f]
+        cells = [*fixed, cell(d, middle), upper] if factors or middle.free_rank else [*fixed, upper]
+        if class_id > classes:  # ids count up from 1 by first occurrence
+            classes = class_id
+        if not factors:
+            trivial.append(k)
+        if fmt == "csv":  # one line per degree
+            head, tail = f"{k},", f",{class_id}\n"
+            yield f"{head}{(tail + head).join(cells)}{tail}"
+        elif fmt == "table":
+            torsion = "+".join(f"Z/{t}" for t in factors) or "0"
+            yield f"k={k} class={class_id} torsion={torsion} {' '.join(cells)}\n"
+        else:  # the entry's dump, indented to its depth: JSON strings hold no raw newline
+            entry = {"k": k, "class": class_id, "boundary_ok": True,  # [phi^k, Id] = Id
+                     "torsion_factors": list(factors), "torsion_cardinality": prod(factors),
+                     "homology": cells}
+            yield ("," if k > 1 else "") + "\n    " + _json_dumps(entry)[:-1].replace(
+                "\n", "\n    ")
+    if fmt == "table":
+        ks = f"trivial torsion at k: {','.join(map(str, trivial))}\n" if trivial else ""
+        yield f"distinct homology types: {classes}\n{ks}"
+    elif fmt == "json":
+        yield "\n  ]," + _json_dumps({"distinct_classes": classes,
+                                      "trivial_torsion_ks": trivial})[1:]
 
 
-def _fillings_csv(report: FillingReport) -> str:
-    lines = ["k,degree,rank,invariant_factors,class\n"]
-    for e, cells in _cells(report.entries, _csv_cell):
-        # the entry's lines, one per degree, in one string
-        head, tail = f"{e.k},", f",{e.class_id}\n"
-        lines.append(f"{head}{(tail + head).join(cells)}{tail}")
-    return "".join(lines)
-
-
-def _cells(entries, fmt):
-    """Yield each entry with ``fmt(k, g)`` for its degrees k and groups g, in order.
-
-    Every fillings format (table, csv and json) walks its entries through here.
-    A degree whose group is the object the entry before held keeps its cell.
-    The family shares one object per value in every degree but its torsion
-    degree, whose group each member builds anew (identity, not equality:
-    hashing a group costs more than formatting it).
-    """
-    held: dict[int, tuple[AbelianGroup, str]] = {}
-    for e in entries:
-        cells = []
-        for k, g in e.homology._groups.items():
-            last = held.get(k)
-            if last is None or last[0] is not g:
-                last = held[k] = g, fmt(k, g)
-            cells.append(last[1])
-        yield e, cells
-
-
-def _fillings_json(report: FillingReport) -> str:
-    payload = {
-        "graph": graph_to_json(report.graph),
-        "word": report.word,
-        "k_max": report.k_max,
-        "torsion_degree": report.torsion_degree,
-        "indexing_note": report.indexing_note,
-        "entries": [
-            {
-                "k": e.k,
-                "class": e.class_id,
-                "boundary_ok": e.boundary_ok,
-                "torsion_factors": list(e.torsion_factors),
-                "torsion_cardinality": e.torsion_cardinality,
-                "homology": cells,
-            }
-            for e, cells in _cells(report.entries, _json_cell)
-        ],
-        "distinct_classes": report.distinct_classes,
-        "trivial_torsion_ks": list(report.trivial_torsion_ks),
-    }
-    return _json_dumps(payload)
-
-
-_FILLINGS_TEXT = {"table": _fillings_table, "csv": _fillings_csv, "json": _fillings_json}
+_FILLINGS_CELL = {"table": lambda k, g: f"H{k}={g}", "csv": _csv_cell, "json": _json_cell}
 
 
 def _cmd_fillings(args) -> tuple:
     if args.kmax < 1:
         raise ValueError("--kmax must be at least 1")
-    report = filling_family(_load_graph(args), parse_word(args.word), args.kmax)
-    return 0, _FILLINGS_TEXT[args.format], report
+    graph, word = _load_graph(args), parse_word(args.word)
+    return 0, _fillings_text, graph, word, args.kmax, _family(graph, word, args.kmax), args.format
 
 
 def _snf_text(m, fmt: str) -> str:
@@ -301,7 +300,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         # each handler parses its input and returns (code, render, *values)
         code, render, *values = args.handler(args)
-        _write(_render(render, *values), args.out)  # the one place output leaves the program
+        _write(args.out, render, *values)  # the one place output leaves the program
         return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -29,13 +29,13 @@ D_d by one of two routes:
 - else ``_powers`` applies the word's letters to phi^(k-1)_d by the rule
   ``word_action`` uses, and ``smith_rows`` reduces D_d as rows.
 
-A member builds H_d once, as the cokernel on Z^(r_d + 2 r_(d-1)) of that
-diagonal, and takes H_(d+1) from a per-family table by kernel rank, both
-through ``_unchecked``, so the renderer formats each value of a degree other
-than d once. H_d fixes the kernel rank, so a class is keyed on H_d alone,
-which agrees with equality of the whole graded group (the tests number those
-by first occurrence and get the same ids, and check every member against
-``surface_bundle_homology`` on (phi^k, Id)).
+The one member generator, ``_members``, yields k, H_d (the cokernel of that
+diagonal on Z^(r_d + 2 r_(d-1))), the kernel rank of D_d and a class id;
+``_family`` makes the degrees below d and H_(d+1) by kernel rank once beside
+it. ``filling_family`` and the CLI consume it. H_d fixes the kernel rank, so a
+class is keyed on H_d alone, which agrees with equality of the whole graded
+group (the tests number those by first occurrence and get the same ids, and
+check every member against ``surface_bundle_homology`` on (phi^k, Id)).
 (phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id, so
 ``boundary_ok`` is true on every entry. ``torsion_closed_form`` reads the
 recurrence: |det(M^k - I)| = |2 - trace(M^k)| when det M = 1.
@@ -80,8 +80,21 @@ class FillingReport(Frozen):
 def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> FillingReport:
     """Build the family E_k, k = 1..k_max, and classify by graded homology.
 
-    ``word`` is a TwistWord over the graph; ``_diagonals`` gives each D_d's Smith diagonal.
+    ``word`` is a TwistWord over the graph; the members come from ``_family``.
     """
+    lower, uppers, members = _family(graph, word, k_max)
+    d = graph.dimension
+    entries = tuple(FillingEntry(k, GradedGroup._unchecked(
+        {**lower, d + 1: uppers[f]} if h.is_trivial() else {**lower, d: h, d + 1: uppers[f]}),
+        h.invariant_factors, prod(h.invariant_factors), True, class_id)
+        for k, h, f, class_id in members)
+    return FillingReport(graph, str(word), k_max, d, INDEXING_NOTE, entries,
+                         max(e.class_id for e in entries),
+                         tuple(e.k for e in entries if e.torsion_cardinality == 1))
+
+
+def _family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> tuple:
+    """H_j for j < d by degree, H_(d+1) by kernel rank, and ``_members``; d = graph.dimension."""
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     d = graph.dimension
@@ -90,34 +103,20 @@ def filling_family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> Filling
     # below d, H_j is that of the bundle with monodromies (Id, Id)
     lower = {j: g for j, g in _total_space_homology(base, (IDENTITY_ACTION,) * 2).items()
              if j < d}
-    below = 2 * base.rank(d - 1)
     # the base lives in degrees up to d, so a member changes d and d + 1 alone;
     # H_(d+1) = Z^(r + f) for coker D_d of free rank f <= r, one object per f
     r = base.rank(d)
     uppers = [AbelianGroup._unchecked(r + f, ()) for f in range(r + 1)]
+    return lower, uppers, _members(r, 2 * base.rank(d - 1), _diagonals(graph, word, r), k_max)
+
+
+def _members(r: int, below: int, diagonals: Iterator[list[int]], k_max: int) -> Iterator[tuple]:
+    """(k, H_d, kernel rank of D_d, class id) for k = 1..k_max."""
     classes: dict[tuple, int] = {}
-    entries = []
-    for k, diag in zip(range(1, k_max + 1), _diagonals(graph, word, r)):
-        middle = _cokernel(r + below, diag)  # coker D_d + Z^below
-        free, factors = middle.free_rank, middle.invariant_factors
-        upper = uppers[r - len(diag)]
-        # H_d fixes H_(d+1), and the family every other degree, so this key is
-        # graded equality
-        class_id = classes.setdefault((free, factors), len(classes) + 1)
-        homology = GradedGroup._unchecked({**lower, d: middle, d + 1: upper} if free or factors
-                                          else {**lower, d + 1: upper})
-        # (phi^k, Id) sends [a, b] to [phi^k, Id] = Id, so the boundary condition holds
-        entries.append(FillingEntry(k, homology, factors, prod(factors), True, class_id))
-    return FillingReport(
-        graph=graph,
-        word=str(word),
-        k_max=k_max,
-        torsion_degree=d,
-        indexing_note=INDEXING_NOTE,
-        entries=tuple(entries),
-        distinct_classes=len(classes),
-        trivial_torsion_ks=tuple(e.k for e in entries if e.torsion_cardinality == 1),
-    )
+    for k, diag in zip(range(1, k_max + 1), diagonals):
+        h = _cokernel(r + below, diag)  # coker D_d + Z^below; the key: module docstring
+        yield k, h, r - len(diag), classes.setdefault((h.free_rank, h.invariant_factors),
+                                                      len(classes) + 1)
 
 
 def _diagonals(graph: PlumbingGraph, word: TwistWord, r: int) -> Iterator[list[int]]:

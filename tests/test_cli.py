@@ -10,17 +10,18 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 import plumbhom.cli as cli
+import plumbhom.distinguisher as distinguisher
 import plumbhom.exact_linalg as exact_linalg
 from plumbhom.cli import run
-from plumbhom.distinguisher import filling_family
-from plumbhom.exact_linalg import IntMatrix, snf
-from plumbhom.plumbing import PlumbingGraph, graph_from_json, graph_to_json
+from plumbhom.distinguisher import FillingEntry, filling_family
+from plumbhom.exact_linalg import AbelianGroup, IntMatrix, snf
+from plumbhom.plumbing import GradedGroup, PlumbingGraph, graph_from_json, graph_to_json
 from plumbhom.presets import graph_preset
 from plumbhom.twist_engine import parse_word
 
@@ -409,27 +410,128 @@ class TestFillings:
         payload = json.loads(out)
         assert all(e["boundary_ok"] for e in payload["entries"])
 
-    def test_each_distinct_group_is_rendered_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_each_distinct_group_is_rendered_once(self, monkeypatch, capsys, fmt):
         # phi = t1 moves degree 3 only: H3 changes with every k, and every
-        # other degree keeps its group object, so its text is made once; json
-        # walks the members the same way
+        # other degree's text is made once per family (H4 once per kernel
+        # rank, and every member here has the same one)
         report = filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 50)
+        argv = ["fillings", "--preset", "a2-3pt-n3", "--word", "t1", "--kmax", "50",
+                "--format", fmt]
+        want = invoke(capsys, *argv)
         calls = Counter()
 
-        def counting(k, g, fmt=lambda k, g: str(g)):
+        def counting(k, g, _cell=cli._FILLINGS_CELL[fmt]):
             calls[k] += 1
-            return fmt(k, g)
+            return _cell(k, g)
 
-        rows = [cells for _, cells in cli._cells(report.entries, counting)]
-        assert dict(calls) == {0: 1, 1: 1, 2: 1, 3: 50, 4: 1}
-        assert rows == [[str(g) for _, g in e.homology.items()] for e in report.entries]
-        argv = ["fillings", "--preset", "a2-3pt-n3", "--word", "t1", "--kmax", "50",
-                "--format", "json"]
-        want = invoke(capsys, *argv)
-        calls.clear()
-        monkeypatch.setattr(cli, "_json_cell", partial(counting, fmt=cli._json_cell))
+        monkeypatch.setitem(cli._FILLINGS_CELL, fmt, counting)
         assert invoke(capsys, *argv) == want
         assert dict(calls) == {0: 1, 1: 1, 2: 1, 3: 50, 4: 1}
+        # each member shows its own groups, in degree order
+        if fmt == "json":
+            rows = [[(c["degree"], c["group"]) for c in e["homology"]]
+                    for e in json.loads(want[1])["entries"]]
+        elif fmt == "table":
+            rows = [[(int(c[1:c.index("=")]), c.partition("=")[2]) for c in line.split()[3:]]
+                    for line in want[1].splitlines() if line.startswith("k=")]
+        else:
+            lines = [line.split(",") for line in want[1].splitlines()[1:]]
+            rows = [[(int(degree), str(AbelianGroup(int(rank), [int(d) for d in factors.split("|")
+                                                                 if d])))
+                     for _, degree, rank, factors, _ in group]
+                    for _, group in groupby(lines, key=lambda line: line[0])]
+        assert rows == [[(k, str(g)) for k, g in e.homology.items()] for e in report.entries]
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_no_report_objects_per_member(self, monkeypatch, capsys, fmt):
+        # the CLI formats each member from the family's generator, so a longer
+        # family builds no more entries or graded groups; filling_family
+        # builds one of each per member
+        counts = Counter()
+        spies = ((FillingEntry, "__init__"), (FillingEntry, "_unchecked"),
+                 (GradedGroup, "_unchecked"))
+        for cls, name in spies:
+            method = getattr(cls, name)
+
+            def counting(*args, _fn=getattr(method, "__func__", method),
+                         _name=f"{cls.__name__}.{name}"):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(cls, name, classmethod(counting) if name == "_unchecked"
+                                else counting)
+        seen = []
+        for k_max in (10, 30):
+            counts.clear()
+            assert invoke(capsys, "fillings", "--preset", "a2-3pt-n3", "--word", "t1",
+                          "--kmax", str(k_max), "--format", fmt)[0] == 0
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        counts.clear()
+        filling_family(graph_preset("a2-3pt-n3"), parse_word("t1"), 10)
+        assert counts["FillingEntry.__init__"] == counts["GradedGroup._unchecked"] == 10
+
+    def test_each_member_is_written_before_the_next_is_made(self, monkeypatch, capsys):
+        argv = ["fillings", "--preset", "a2-3pt-n3", "--word", "t1", "--kmax", "4",
+                "--format", "csv"]
+        healthy = invoke(capsys, *argv)[1]
+        events = []
+        real = distinguisher._members
+
+        def members(*args):
+            for member in real(*args):
+                events.append(("made", member[0]))
+                yield member
+
+        class Recorder:
+            def write(self, text):
+                events.append(("written", text))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(distinguisher, "_members", members)
+        monkeypatch.setattr(cli, "_BATCH", 1)  # a write per chunk
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert run(argv) == 0
+        # the head, then each member made and written, then the empty summary
+        assert [kind for kind, _ in events] == ["written", *["made", "written"] * 4, "written"]
+        assert [k for kind, k in events if kind == "made"] == [1, 2, 3, 4]
+        assert "".join(text for kind, text in events if kind == "written") == healthy
+
+    @pytest.mark.parametrize("fmt, third, skip", [
+        ("csv", "\n3,", 1), ("table", "\nk=3 ", 1), ("json", ',\n    {\n      "k": 3,', 0),
+    ])
+    def test_a_failure_mid_family_exits_two_after_the_members_before_it(
+            self, monkeypatch, capsys, tmp_path, fmt, third, skip):
+        # a wrong Smith pair at k = 3 (d_1 = 4, det D = 6: see
+        # test_checks_raise_on_a_wrong_pair); members written before it stay
+        # written, on stdout and in an --out file alike
+        argv = ["fillings", "--preset", "a2-3pt-n2", "--word", "t1 t2", "--kmax", "6",
+                "--format", fmt]
+        healthy = invoke(capsys, *argv)[1]
+        real = distinguisher._recurrence
+
+        def failing(*phi):
+            good = real(*phi)
+            yield next(good)
+            yield next(good)
+            yield 0, 3, 6 - 8 + 1
+
+        monkeypatch.setattr(distinguisher, "_recurrence", failing)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (2, "internal error: Smith invariants do not multiply to the gcd "
+                                  "of the 2x2 minors\n")
+        assert healthy.startswith(out)
+        # one write per chunk: the head and members 1 and 2 are out before
+        # the generator fails on member 3
+        monkeypatch.setattr(cli, "_BATCH", 1)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2 and out == healthy[:healthy.index(third) + skip]
+        target = tmp_path / "out.txt"
+        assert invoke(capsys, *argv, "--out", str(target))[:2] == (2, "")
+        assert target.read_text() == out
 
     def test_output_passes_the_digit_limit(self, capsys):
         # with a 10^300 exponent the degree-3 torsion factors pass 4,300
