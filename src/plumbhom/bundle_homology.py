@@ -13,15 +13,18 @@ exact sequence then splits the total-space homology as
     H_k(E) = coker(D_k)  (+)  Z^(kernel rank of D_{k-1}),
 
 with no extension problem: the kernel term is a subgroup of a free group,
-hence free. Note the orientation of the sequence: the cokernel contributes in
-its own degree, the kernel one degree up. (Reading the Wang sequence the other
-way shifts the torsion up by one; the mapping torus of a degree-d circle map,
-with H_1 = Z + Z/(d-1), pins the orientation used here.)
+hence free. D_k has kernel rank m r_k - rank D_k, its rank being the length
+of its nonzero Smith diagonal: ``_wang_degree``, the rule for every bundle
+here and every filling-family member. Note the orientation of the sequence:
+the cokernel contributes in its own degree, the kernel one degree up.
+(Reading the Wang sequence the other way shifts the torsion up by one; the
+mapping torus of a degree-d circle map, with H_1 = Z + Z/(d-1), pins the
+orientation used here.)
 """
 
 from collections.abc import Iterable, Sequence
 
-from .exact_linalg import AbelianGroup, Frozen, cokernel_rows
+from .exact_linalg import AbelianGroup, Frozen, _cokernel, smith_rows
 from .plumbing import GradedGroup
 from .twist_engine import GradedAction
 
@@ -51,13 +54,19 @@ def wang_pieces(
 ) -> dict[int, tuple[AbelianGroup, int]]:
     """``{k: (coker D_k, kernel rank of D_k)}`` for every degree where the base lives.
 
-    At most one Smith reduction per degree: the kernel rank follows from the
-    cokernel's free rank by rank-nullity, cols - rows + free rank. A
-    monodromy with no matrix stored in degree k acts as the identity, so its
-    block of D_k is zero: it adds r_k columns to the kernel and nothing to
-    the cokernel, and D_k is built from the stored blocks alone (their
-    diagonals lowered by 1). Where no monodromy stores a matrix, D_k = 0
-    gives (Z^r_k, m r_k) with no reduction at all.
+    The Wang rule with no kernel below: at most one Smith reduction per degree.
+    """
+    m = len(monodromies)
+    return {k: _wang_degree(m, base.rank(k), 0, diag)
+            for k, diag in _smith_diagonals(base, monodromies).items()}
+
+
+def _smith_diagonals(base: GradedGroup, monodromies: Sequence[GradedAction]) -> dict:
+    """{k: D_k's nonzero Smith diagonal} for every degree k where the base lives.
+
+    A monodromy with no matrix stored in degree k acts as the identity, so its
+    block of D_k is zero: D_k is reduced from the stored blocks alone (their
+    diagonals lowered by 1), and is not reduced where none is stored.
 
     The base must be free (true for every plumbing). Monodromies must respect
     the base ranks and fix degree 0, where connectivity forces the identity.
@@ -79,18 +88,14 @@ def wang_pieces(
         zero = dict(maps).get(0)
         if zero is not None and not zero.is_identity():
             raise ValueError("monodromies must act as the identity on degree 0")
-    m = len(monodromies)
-    return {k: _wang_piece(stored.get(k, ()), base.rank(k), m) for k in base.degrees()}
+    return {k: smith_rows(_difference_blocks(stored[k], base.rank(k))) if k in stored else []
+            for k in base.degrees()}
 
 
-def _wang_piece(
-    blocks: Sequence[list[list[int]]], r: int, m: int
-) -> tuple[AbelianGroup, int]:
-    """(coker D, kernel rank of D) for the stored r x r blocks, as rows, of m monodromies."""
-    if not blocks:
-        return AbelianGroup._unchecked(r, ()), r * m
-    coker = cokernel_rows(_difference_blocks(blocks, r))
-    return coker, r * (m - 1) + coker.free_rank
+def _wang_degree(m: int, r: int, below: int, diag: list[int]) -> tuple[AbelianGroup, int]:
+    """(H_k, kernel rank of D_k) from D_k's nonzero Smith diagonal, D_k being
+    r x (m r), and the kernel rank ``below`` of D_(k-1)."""
+    return _cokernel(r + below, diag), m * r - len(diag)
 
 
 def _difference_blocks(maps: Sequence[list[list[int]]], r: int) -> list[list[int]]:
@@ -108,21 +113,17 @@ def _difference_blocks(maps: Sequence[list[list[int]]], r: int) -> list[list[int
 def _total_space_homology(base: GradedGroup, monodromies: Sequence[GradedAction]) -> GradedGroup:
     """H_k(E) = coker D_k + Z^(kernel rank of D_(k-1)), in the nonzero degrees.
 
-    A piece in degree k enters H_k through its cokernel and H_(k+1) through
-    its kernel rank. One ascending pass over the pieces leaves Z^(kernel
-    rank) in degree k + 1, where the next piece, if it lies there, adds it to
-    its cokernel (a cokernel with no piece below is the group itself). The
-    pass visits only the degrees where the base lives, so a degree with no
-    homology costs nothing. Every piece was checked where it was built, so
-    the sums need no check; ``GradedGroup`` drops the trivial degrees.
+    One ascending pass over the degrees where the base lives builds each H_k
+    once by the Wang rule; a kernel rank left where the base does not live is
+    that degree's group. A degree with no homology costs nothing, and
+    ``GradedGroup`` drops the trivial degrees.
     """
+    m = len(monodromies)
     groups: dict[int, AbelianGroup] = {}
-    for k, (coker, kernel) in wang_pieces(base, monodromies).items():
-        below = groups.get(k)
-        if below is not None:
-            coker = AbelianGroup._unchecked(coker.free_rank + below.free_rank, coker.invariant_factors)
-        groups[k] = coker
-        groups[k + 1] = AbelianGroup._unchecked(kernel, ())
+    kernels: dict[int, int] = {}
+    for k, diag in _smith_diagonals(base, monodromies).items():
+        groups[k], kernels[k + 1] = _wang_degree(m, base.rank(k), kernels.pop(k, 0), diag)
+    groups.update((k, AbelianGroup._unchecked(kernel, ())) for k, kernel in kernels.items())
     return GradedGroup(groups)
 
 

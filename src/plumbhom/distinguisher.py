@@ -10,13 +10,12 @@ than assumed distinct.
 
 A twist word moves one degree d, the graph's dimension: D_d = phi^k_d - I,
 and every other D_j = 0 (the identity partner adds a zero block, and phi
-stores none off d), so coker D_j = Z^(r_j), of kernel rank 2 r_j, r_j = rank
-H_j(V). So the degrees below d are those of the bundle with monodromies
-(Id, Id), read once per family from ``_total_space_homology``, the one
-assembly of the Wang sequence; the base lives in degrees up to d, so only
-H_d = coker D_d + Z^(2 r_(d-1)) and H_(d+1) = Z^(r_d + free rank of coker
-D_d) change with k. ``_diagonals`` gives the nonzero Smith diagonal of each
-D_d by one of two routes:
+stores none off d). So the degrees below d are those of the bundle with
+monodromies (Id, Id), read once per family from ``_total_space_homology``;
+the base lives in degrees up to d, so only H_d and H_(d+1) = Z^(kernel rank
+of D_d) change with k, both from the Wang rule of ``bundle_homology`` with
+m = 2. ``_diagonals`` gives the nonzero Smith diagonal of each D_d by one of
+two routes:
 - r_d = 2: phi = [[a, b], [c, e]] is read once from ``twist_engine._powers``.
   With t = a + e, delta = det phi and u_(-1) = 0, u_0 = 1, u_k = t u_(k-1) -
   delta u_(k-2), phi^k = u_(k-1) phi - delta u_(k-2) I (Cayley-Hamilton), so
@@ -29,13 +28,14 @@ D_d by one of two routes:
 - else ``_powers`` applies the word's letters to phi^(k-1)_d by the rule
   ``word_action`` uses, and ``smith_rows`` reduces D_d as rows.
 
-The one member generator, ``_members``, yields k, H_d (the cokernel of that
-diagonal on Z^(r_d + 2 r_(d-1))), the kernel rank of D_d and a class id;
+The one member generator, ``_members``, yields k, H_d and the kernel rank of
+D_d (``_wang_degree`` on that diagonal), and a class id;
 ``_family`` makes the degrees below d and H_(d+1) by kernel rank once beside
 it. ``filling_family`` and the CLI consume it. H_d fixes the kernel rank, so a
 class is keyed on H_d alone, which agrees with equality of the whole graded
 group (the tests number those by first occurrence and get the same ids, and
-check every member against ``surface_bundle_homology`` on (phi^k, Id)).
+check every member against ``surface_bundle_homology`` on (phi^k, Id) and an
+oracle's own Wang assembly).
 (phi^k, Id) sends the boundary word [a, b] to [phi^k, Id] = Id, so
 ``boundary_ok`` is true on every entry. ``torsion_closed_form`` reads the
 recurrence: |det(M^k - I)| = |2 - trace(M^k)| when det M = 1.
@@ -44,8 +44,8 @@ recurrence: |det(M^k - I)| = |2 - trace(M^k)| when det M = 1.
 from collections.abc import Iterator
 from math import gcd, prod
 
-from .bundle_homology import _difference_blocks, _total_space_homology
-from .exact_linalg import AbelianGroup, Frozen, IntMatrix, _cokernel, _divisor_pair, det, smith_rows
+from .bundle_homology import _difference_blocks, _total_space_homology, _wang_degree
+from .exact_linalg import AbelianGroup, Frozen, IntMatrix, _divisor_pair, det, smith_rows
 from .plumbing import GradedGroup, PlumbingGraph, base_homology
 from .twist_engine import IDENTITY_ACTION, TwistWord, _powers
 
@@ -104,9 +104,9 @@ def _family(graph: PlumbingGraph, word: TwistWord, k_max: int) -> tuple:
     lower = {j: g for j, g in _total_space_homology(base, (IDENTITY_ACTION,) * 2).items()
              if j < d}
     # the base lives in degrees up to d, so a member changes d and d + 1 alone;
-    # H_(d+1) = Z^(r + f) for coker D_d of free rank f <= r, one object per f
+    # H_(d+1) = Z^f for D_d (r x 2r) of kernel rank r <= f <= 2r, one object per f
     r = base.rank(d)
-    uppers = [AbelianGroup._unchecked(r + f, ()) for f in range(r + 1)]
+    uppers = {f: AbelianGroup._unchecked(f, ()) for f in range(r, 2 * r + 1)}
     return lower, uppers, _members(r, 2 * base.rank(d - 1), _diagonals(graph, word, r), k_max)
 
 
@@ -114,9 +114,9 @@ def _members(r: int, below: int, diagonals: Iterator[list[int]], k_max: int) -> 
     """(k, H_d, kernel rank of D_d, class id) for k = 1..k_max."""
     classes: dict[tuple, int] = {}
     for k, diag in zip(range(1, k_max + 1), diagonals):
-        h = _cokernel(r + below, diag)  # coker D_d + Z^below; the key: module docstring
-        yield k, h, r - len(diag), classes.setdefault((h.free_rank, h.invariant_factors),
-                                                      len(classes) + 1)
+        h, kernel = _wang_degree(2, r, below, diag)  # the key: module docstring
+        yield k, h, kernel, classes.setdefault((h.free_rank, h.invariant_factors),
+                                               len(classes) + 1)
 
 
 def _diagonals(graph: PlumbingGraph, word: TwistWord, r: int) -> Iterator[list[int]]:

@@ -43,8 +43,8 @@ Before returning, ``snf`` checks ``U @ M @ V == S`` and, on the Hermite
 route, that the diagonal of S multiplies to |d|; together these force
 det U, det V = +-1. A failed check raises ``RuntimeError``.
 ``smith_rows`` passes no transforms and returns only the nonzero
-Smith diagonal of a matrix given as rows; ``cokernel_rows`` reads a cokernel
-from it. ``smith_invariants`` and ``cokernel_group`` (and through the first
+Smith diagonal of a matrix given as rows, from which ``_cokernel`` reads a
+cokernel. ``smith_invariants`` and ``cokernel_group`` (and through the first
 ``smith_form``, which lays the invariants on a diagonal; a rank is their
 count) hand them an ``IntMatrix``'s rows; the Wang pieces of
 ``bundle_homology`` and the filling-family members but the 2x2 ones hand
@@ -563,12 +563,7 @@ def cokernel_group(m: IntMatrix) -> AbelianGroup:
     invariants that exceed 1, already in divisor-chain order. No transforms
     are built.
     """
-    return cokernel_rows(m.to_rows())
-
-
-def cokernel_rows(block: list[list[int]]) -> AbelianGroup:
-    """``cokernel_group`` of the matrix with these rows; the rows are consumed."""
-    return _cokernel(len(block), smith_rows(block))
+    return _cokernel(m.rows, smith_invariants(m))
 
 
 def _cokernel(rows: int, diag: list[int]) -> AbelianGroup:

@@ -8,6 +8,10 @@ two routes stay separate.
 * ``smith_diagonal_by_minors`` recovers the Smith diagonal from determinantal
   divisors: d_k = gcd of all k x k minors, k-th diagonal entry = d_k / d_{k-1}.
   Exponential in the matrix size, which is fine for the small inputs used here.
+* ``wang_homology`` assembles the Wang sequence of a bundle with m
+  monodromies from plain ranks and matrix rows: it writes out every block of
+  D_k, identity blocks included, and reads ranks and torsion off
+  ``smith_diagonal_by_minors``.
 
 Three readers of plumbhom's own values take them as plain arguments, so this
 module still imports nothing from it:
@@ -61,6 +65,33 @@ def smith_diagonal_by_minors(rows: list[list[int]]) -> list[int]:
         diag.append(g // prev)
         prev = g
     return diag
+
+
+def wang_homology(ranks: dict[int, int], stored: dict[int, list[list[list[int]]]],
+                  m: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """{k: (free rank, torsion factors)} of the bundle's nonzero H_k.
+
+    ``ranks`` maps each degree to the fiber's rank there; ``stored`` maps a
+    degree to the rows of the monodromies that move it, and the other m minus
+    that many act as the identity. D_k = [phi^1_k - I | ... | phi^m_k - I], and
+    H_k = coker D_k + Z^(m r_(k-1) - rank D_(k-1)).
+    """
+    cokernels, kernels = {}, {}
+    for k, r in ranks.items():
+        blocks = stored.get(k, [])
+        blocks = blocks + [[[int(i == j) for j in range(r)] for i in range(r)]] * (m - len(blocks))
+        rows = [[e - (i == j) for block in blocks for j, e in enumerate(block[i])]
+                for i in range(r)]
+        diag = [d for d in smith_diagonal_by_minors(rows) if d]
+        cokernels[k] = (r - len(diag), tuple(d for d in diag if d > 1))
+        kernels[k + 1] = m * r - len(diag)
+    out = {}
+    for k in sorted(set(cokernels) | set(kernels)):
+        free, torsion = cokernels.get(k, (0, ()))
+        free += kernels.get(k, 0)
+        if free or torsion:
+            out[k] = (free, torsion)
+    return out
 
 
 def rank_by_minors(rows: list[list[int]]) -> int:

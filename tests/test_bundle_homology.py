@@ -23,7 +23,8 @@ from plumbhom.exact_linalg import (
     smith_invariants,
 )
 from plumbhom.plumbing import GradedGroup, base_homology
-from plumbhom.twist_engine import GradedAction, IDENTITY_ACTION, TwistWord, word_action
+from plumbhom.presets import graph_preset
+from plumbhom.twist_engine import GradedAction, IDENTITY_ACTION, TwistWord, parse_word, word_action
 from test_exact_linalg import _random_unimodular
 from test_plumbing import A2_3PT_N2, A2_3PT_N3, random_graph
 
@@ -62,8 +63,9 @@ class TestWangPieces:
         assert forward == backward
 
     def test_kernel_rank_matches_second_reduction(self):
-        # wang_pieces reads the kernel rank off the cokernel; here a second
-        # reduction of the block matrix D_k counts its Smith invariants
+        # wang_pieces reads the kernel rank off the stored blocks' diagonal;
+        # here a second reduction of the whole block matrix D_k counts its
+        # Smith invariants
         rng = random.Random(307)
         for _ in range(40):
             graph = random_graph(rng)
@@ -183,6 +185,32 @@ class TestMappingTorus:
             phi = word_action(graph, TwistWord(letters))
             torus = mapping_torus_homology(base_homology(graph), phi)
             assert euler_characteristic(torus) == 0
+
+
+@pytest.mark.parametrize("preset, text", [
+    ("a2-3pt-n3", "t1 t2"), ("a2-3pt-n2", "t1 t2"), ("a2-3pt-n1", "t1")])
+def test_one_group_per_degree_visited(monkeypatch, preset, text):
+    # the pass visits each degree where the base lives and the degree above
+    # it, and builds each of those groups once, from its Smith diagonal and
+    # the kernel rank below: no rebuild, and no kernel group thrown away
+    graph = graph_preset(preset)
+    base = base_homology(graph)
+    phi = word_action(graph, parse_word(text))
+    rep = Representation(1, (phi, IDENTITY_ACTION))
+    visited = set(base.degrees()) | {k + 1 for k in base.degrees()}
+    built = []
+
+    def recording(cls, *values, _fn=AbelianGroup._unchecked.__func__):
+        built.append(_fn(cls, *values))
+        return built[-1]
+
+    monkeypatch.setattr(AbelianGroup, "_unchecked", classmethod(recording))
+    for homology in (lambda: mapping_torus_homology(base, phi),
+                     lambda: surface_bundle_homology(base, rep)):
+        built.clear()
+        got = homology()
+        assert len(built) == len(visited)
+        assert {id(g) for _, g in got.items()} <= {id(g) for g in built}
 
 
 class TestSurfaceBundle:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from operator import sub
@@ -11,8 +12,14 @@ import pytest
 import plumbhom.bundle_homology as bundle_homology
 import plumbhom.distinguisher as distinguisher
 from behaviour_corpus import CORPUS
-from oracles import classify_distinct, cofactor_det, pow_square, smith_diagonal_by_minors
-from plumbhom.bundle_homology import Representation, surface_bundle_homology
+from oracles import (
+    classify_distinct,
+    cofactor_det,
+    pow_square,
+    smith_diagonal_by_minors,
+    wang_homology,
+)
+from plumbhom.bundle_homology import Representation, surface_bundle_homology, wang_pieces
 from plumbhom.cli import run
 from plumbhom.distinguisher import filling_family, torsion_closed_form
 from plumbhom.exact_linalg import AbelianGroup, IntMatrix, cokernel_group, mat_pow, smith_invariants
@@ -156,7 +163,7 @@ class TestFillingFamily:
         # trace recurrence, with no power of phi and no Smith reduction
         reductions, starts = [], []
 
-        for module, name in ((distinguisher, "smith_rows"), (bundle_homology, "cokernel_rows")):
+        for module, name in ((distinguisher, "smith_rows"), (bundle_homology, "smith_rows")):
             def reducing(rows, _fn=getattr(module, name)):
                 reductions.append(rows)
                 return _fn(rows)
@@ -224,6 +231,22 @@ class TestFillingFamily:
         assert counts[1] - counts[0] == 20
         middles = {id(e.homology.group(graph.dimension)) for e in report.entries}
         assert middles <= {id(g) for g in built[-30:]}
+
+    @pytest.mark.parametrize("graph, text", [
+        (graph_preset("a2-3pt-n2"), "t1 t2"), (graph_preset("a2-3pt-n1"), "t1"),
+        (parse_graph((CORPUS / "cycle-3-n2.graph.json").read_text()), "a b c"),
+    ], ids=["a2-3pt-n2", "a2-3pt-n1", "cycle-3-n2"])
+    def test_one_kernel_rank_convention(self, graph, text):
+        # the kernel rank a member yields is that of the Wang block D_d = [phi^k - I | 0]
+        # of the bundle on (phi^k, Id), on the 2x2 route (a2-3pt-n2) and the general
+        # one, and H_(d+1) is free of that rank
+        word, d = parse_word(text), graph.dimension
+        base, phi = base_homology(graph), word_action(graph, parse_word(text))
+        _, uppers, members = distinguisher._family(graph, word, 12)
+        report = filling_family(graph, word, 12)
+        for (k, _, kernel, _), entry in zip(members, report.entries, strict=True):
+            assert kernel == wang_pieces(base, (phi.power(k), IDENTITY_ACTION))[d][1]
+            assert uppers[kernel] == entry.homology.group(d + 1) == AbelianGroup(kernel)
 
     def test_members_match_the_general_route(self):
         # each member against surface_bundle_homology on (phi^k, Id), with
@@ -426,3 +449,67 @@ def test_metamorphic_relations():
         shifted = _members(graph, n + 4, letters)
         assert ([(t, h.invariant_factors, up, c) for t, h, up, c in shifted]
                 == [(t, h.invariant_factors, up, c) for t, h, up, c in members])
+
+
+# the edges one pair of vertices may carry: none, one or two, of sign +-1
+_PAIR_EDGES = ((), (1,), (-1,), (1, 1), (1, -1), (-1, -1))
+
+
+def _small_graphs():
+    """Every connected graph of up to 3 vertices with up to 2 edges per pair, as
+    (labels, edges), one per class under relabelling the vertices and reversing
+    a vertex's orientation: that negates every sign at the vertex, and conjugates
+    phi by a diagonal sign matrix, since the twist along -S is the twist along S."""
+    seen = set()
+    for n in (1, 2, 3):
+        labels, pairs = "abc"[:n], list(itertools.combinations(range(n), 2))
+        for choice in itertools.product(_PAIR_EDGES, repeat=len(pairs)):
+            edges = [(i, j, s) for (i, j), signs in zip(pairs, choice) for s in signs]
+            reached = {0}
+            for _ in range(n):
+                reached |= {v for i, j, _ in edges if {i, j} & reached for v in (i, j)}
+            key = min(tuple(sorted((min(p[i], p[j]), max(p[i], p[j]), s * f[i] * f[j])
+                                   for i, j, s in edges))
+                      for p in itertools.permutations(range(n))
+                      for f in itertools.product((1, -1), repeat=n))
+            if len(reached) == n and (n, key) not in seen:
+                seen.add((n, key))
+                yield labels, tuple((labels[i], labels[j], s) for i, j, s in edges)
+
+
+def _small_words(labels):
+    """Every word of 1 or 2 letters with exponents +-1 and +-2, and of 3 letters
+    with exponents +-1, whose cyclically adjacent letters name different vertices
+    (t^a t^b = t^(a + b)), one per class under rotation and inversion, which
+    leave the members unchanged (``test_metamorphic_relations``)."""
+    for length, exponents in ((1, (1, -1, 2, -2)), (2, (1, -1, 2, -2)), (3, (1, -1))):
+        letters = [(v, e) for v in labels for e in exponents]
+        for word in itertools.product(letters, repeat=length):
+            if length > 1 and any(word[i][0] == word[i - 1][0] for i in range(length)):
+                continue
+            inverse = tuple((v, -e) for v, e in reversed(word))
+            if word == min(w[i:] + w[:i] for w in (word, inverse) for i in range(length)):
+                yield TwistWord(word)
+
+
+def test_small_scope_exhaustive():
+    # every member of every small family against the oracle's own assembly of
+    # the Wang sequence, in dimensions 2 and 3 (n + 4 repeats them:
+    # test_metamorphic_relations); the class ids against its groups
+    families = 0
+    for labels, edges in _small_graphs():
+        for n in (2, 3):
+            graph = PlumbingGraph(n, labels, edges)
+            base = base_homology(graph)
+            ranks = {k: base.rank(k) for k in base.degrees()}
+            for word in _small_words(labels):
+                report = filling_family(graph, word, 3)
+                phi = word_action(graph, word).matrix(n).to_rows()
+                expected = [tuple(wang_homology(ranks, {n: [pow_square(phi, e.k)]}, 2).items())
+                            for e in report.entries]
+                assert [tuple((k, (g.free_rank, g.invariant_factors))
+                              for k, g in e.homology.items())
+                        for e in report.entries] == expected, (labels, edges, n, word)
+                assert [e.class_id for e in report.entries] == classify_distinct(expected)
+                families += 1
+    assert families == 1596
