@@ -4,12 +4,18 @@ Subcommands: validate, form, homology, twist, torus, fillings, snf. Output is
 byte-deterministic for a fixed invocation. Exit codes: 0 success, 1 input
 error or a failed write (to stdout or --out), 2 internal invariant violation.
 
+The first two paragraphs are the --help text. ``exact_linalg``, ``plumbing``
+and ``presets`` load with this module; the handlers that run ``twist_engine``,
+``bundle_homology`` or ``distinguisher`` import it, so ``snf``, ``validate``,
+``form`` and ``homology`` never compile those. ``presets`` stays eager:
+building it validates its five graphs, so deferring it would give a command's
+first run in a process work that its later runs skip.
+
 A renderer returns the text or yields it in chunks: ``fillings`` one chunk
 per member, as ``distinguisher._family``'s generator makes it, with each
 degree below d formatted once per family and H_(d+1) once per kernel rank.
 ``_write`` joins chunks into batches of about 64 KB (under PYTHONUNBUFFERED
 each write is a system call), so an exit 2 mid-family can follow output.
-The first two paragraphs are the --help text.
 """
 
 import argparse
@@ -19,8 +25,6 @@ from contextlib import nullcontext
 from itertools import chain
 from math import prod
 
-from .bundle_homology import mapping_torus_homology
-from .distinguisher import INDEXING_NOTE, _family
 from .exact_linalg import AbelianGroup, format_matrix, parse_matrix, smith_form, snf
 from .plumbing import (
     GradedGroup,
@@ -32,7 +36,6 @@ from .plumbing import (
     parse_graph,
 )
 from .presets import graph_preset
-from .twist_engine import parse_word, word_action
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,6 +202,8 @@ def _cmd_homology(args) -> tuple:
 
 
 def _cmd_twist(args) -> tuple:
+    from .twist_engine import parse_word, word_action
+
     graph = _load_graph(args)
     # a word acts in exactly one degree
     (degree, matrix), = word_action(graph, parse_word(args.word)).items()
@@ -207,6 +212,9 @@ def _cmd_twist(args) -> tuple:
 
 
 def _cmd_torus(args) -> tuple:
+    from .bundle_homology import mapping_torus_homology
+    from .twist_engine import parse_word, word_action
+
     graph = _load_graph(args)
     action = word_action(graph, parse_word(args.word))
     return 0, _graded_text, mapping_torus_homology(base_homology(graph), action), args.format
@@ -214,6 +222,8 @@ def _cmd_torus(args) -> tuple:
 
 def _fillings_text(graph, word, k_max: int, family: tuple, fmt: str) -> Iterator[str]:
     """The fillings report in chunks, one per member (module docstring), then the summary."""
+    from .distinguisher import INDEXING_NOTE
+
     lower, uppers, members = family
     d, cell = graph.dimension, _FILLINGS_CELL[fmt]
     fixed, upper_cells, classes, trivial = [cell(j, g) for j, g in lower.items()], {}, 0, []
@@ -262,6 +272,9 @@ _FILLINGS_CELL = {"table": lambda k, g: f"H{k}={g}", "csv": _csv_cell, "json": _
 def _cmd_fillings(args) -> tuple:
     if args.kmax < 1:
         raise ValueError("--kmax must be at least 1")
+    from .distinguisher import _family
+    from .twist_engine import parse_word
+
     graph, word = _load_graph(args), parse_word(args.word)
     return 0, _fillings_text, graph, word, args.kmax, _family(graph, word, args.kmax), args.format
 

@@ -55,13 +55,20 @@ class TwistWord(Frozen):
 
 
 def parse_word(text: str) -> TwistWord:
-    """Parse the word grammar: whitespace-separated ``label`` or ``label^exp``."""
+    """Parse the word grammar: whitespace-separated ``label`` or ``label^exp``.
+
+    An exponent is ASCII ``[+-]?[0-9]+``: ``int`` alone would also read
+    ``1_0`` and other scripts' digits.
+    """
     letters = []
     for token in text.split():
         label, caret, tail = token.rpartition("^")
         if caret:
+            digits = tail[1:] if tail[:1] in ("+", "-") else tail
             try:
-                exp = int(tail)
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+                exp = int(tail)  # past the digit limit, this raises too
             except ValueError:
                 raise ValueError(f"bad exponent in token {token!r}") from None
             if not label:

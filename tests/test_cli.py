@@ -140,6 +140,14 @@ class TestTwist:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("word", ["t1^1_0", "t1^\u0663"])
+    def test_exponent_outside_the_grammar_is_input_error(self, capsys, word):
+        # int() would read these as 10 and 3
+        for command in ("twist", "torus"):
+            code, out, err = invoke(capsys, command, "--preset", "a2-3pt-n3", "--word", word)
+            assert (code, out) == (1, "")
+            assert err == f"error: bad exponent in token {word!r}\n"
+
 
 class TestSnf:
     def test_table_output(self, capsys):
@@ -197,21 +205,34 @@ class TestSnf:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "S = " + json.dumps(s, separators=(",", ":"))
 
-    def test_broken_witness_is_internal_error(self, capsys, monkeypatch):
-        # the real pivot step, with one entry of the row-side transform
-        # changed after the first step: U @ M @ V no longer equals S
+    @pytest.mark.parametrize("literal, side", [
+        ("[[7,3],[-3,-2]]", 0),  # the Hermite route, U
+        ("[[7,3],[-3,-2]]", 1),  # the Hermite route, V
+        ("[[2,4,6],[0,0,9]]", 1),  # rectangular: the pivot route, V
+    ], ids=["hermite-row-side", "hermite-column-side", "rectangular-column-side"])
+    def test_broken_witness_is_internal_error(self, capsys, monkeypatch, literal, side):
+        # the real pivot step, with one entry of a transform changed after
+        # the first step: U @ M @ V no longer equals S. snf passes the
+        # transforms as [rows of U, columns of V]; on the column side a zero
+        # entry of the pivot's column of V turns 1, which the check, skipping
+        # V's zeros, must still see
         real = exact_linalg._eliminate_pivot
         steps = []
 
         def corrupt(block, sides):
-            if not steps:
-                steps.append(real(block, sides))
-                sides[0][-1][0] += 1
-                return steps[0]
-            return real(block, sides)
+            if steps:
+                return real(block, sides)
+            transform = sides[side]
+            steps.append(real(block, sides))
+            if side:
+                column = transform[0]
+                column[column.index(0)] = 1
+            else:
+                transform[-1][0] += 1
+            return steps[0]
 
         monkeypatch.setattr(exact_linalg, "_eliminate_pivot", corrupt)
-        code, out, err = invoke(capsys, "snf", "--matrix", "[[7,3],[-3,-2]]", "--format", "json")
+        code, out, err = invoke(capsys, "snf", "--matrix", literal, "--format", "json")
         assert (code, out) == (2, "")
         assert err == "internal error: Smith transforms fail U @ M @ V == S\n"
 

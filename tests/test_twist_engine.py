@@ -83,6 +83,36 @@ class TestTwistMatrix:
             assert cofactor_det(m.to_rows()) == expected
 
 
+class TestParseWord:
+    """Exponents are ASCII ``[+-]?[0-9]+``, nonzero (the README's word grammar)."""
+
+    @pytest.mark.parametrize("text, letters", [
+        ("t1", (("t1", 1),)),
+        ("t1^3 t2^-1", (("t1", 3), ("t2", -1))),
+        ("t1^+2", (("t1", 2),)),
+        ("t1^02", (("t1", 2),)),
+        ("a^b^-3", (("a^b", -3),)),  # the last caret starts the exponent
+    ])
+    def test_accepted(self, text, letters):
+        assert parse_word(text).letters == letters
+
+    # int() alone reads the first three as 10, 3 (an Arabic-Indic three) and
+    # 2 (a fullwidth two)
+    @pytest.mark.parametrize("token", [
+        "t1^1_0", "t1^\u0663", "t1^\uff12", "t1^\u00b2", "t1^", "t1^+", "t1^-", "t1^+-2",
+        "t1^2.0", "t1^0x10",
+    ])
+    def test_rejected(self, token):
+        with pytest.raises(ValueError) as excinfo:
+            parse_word(f"t2 {token}")
+        assert str(excinfo.value) == f"bad exponent in token {token!r}"
+
+    @pytest.mark.parametrize("token", ["t1^0", "t1^-0", "t1^+00"])
+    def test_zero_exponent(self, token):
+        with pytest.raises(ValueError, match="zero exponent"):
+            parse_word(token)
+
+
 class TestWordAction:
     def test_even_composition(self):
         action = word_action(A2_3PT_N2, parse_word("L1 L2"))
